@@ -11,8 +11,6 @@ Commands mirror the paper's experiments:
 * ``serve``   — query API over a crawl database (``build``/``verify``
   maintain and differential-check its read-optimized rollups)
 * ``crawl``   — scheduled crawl: worker pool, persistent queue, --resume
-* ``merge``   — fold per-worker shard databases (``--shard-dbs``) into
-  one canonical crawl database, deterministically
 * ``fidelity``— score a replayed execution bundle against its recording
 * ``corpus``  — content-addressed store maintenance (``verify``)
 * ``trace``   — export a crawl as Chrome trace-event JSON (Perfetto)
@@ -89,10 +87,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                   "coordinator's network, which worker processes "
                   "never touch)", file=sys.stderr)
             return 2
-    elif args.shard_dbs or args.pin_cpus:
-        print("error: --shard-dbs/--pin-cpus require --worker-procs",
-              file=sys.stderr)
-        return 2
     if args.record is not None and args.resume:
         print("error: --record archives one complete scan; it cannot "
               "be combined with --resume", file=sys.stderr)
@@ -151,9 +145,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                            workers=args.workers,
                            queue_path=args.queue, resume=args.resume,
                            worker_procs=args.worker_procs,
-                           world_seed=args.seed,
-                           shard_dbs=args.shard_dbs,
-                           pin_cpus=args.pin_cpus)
+                           world_seed=args.seed)
     if recorder is not None:
         recorder.close(
             complete=dataset.visited_sites >= len(web.configs))
@@ -326,26 +318,27 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     mode = None
-    databases = [args.db] + list(args.extra)
+    database = args.db
     if args.db in ("build", "verify"):
         if len(args.extra) != 1:
             print(f"error: 'serve {args.db}' needs exactly one "
                   f"database path", file=sys.stderr)
             return 2
-        mode, databases = args.db, [args.extra[0]]
-    checked = []
-    for database in databases:
-        database = _database_path(database)
-        if database is None:
-            return 2
-        checked.append(database)
+        mode, database = args.db, args.extra[0]
+    elif args.extra:
+        print(f"error: repro serve takes one crawl database, got "
+              f"{1 + len(args.extra)}", file=sys.stderr)
+        return 2
+    database = _database_path(database)
+    if database is None:
+        return 2
 
     if mode is not None:
         import sqlite3
 
         from repro.serve import build, verify
 
-        connection = sqlite3.connect(checked[0])
+        connection = sqlite3.connect(database)
         try:
             if mode == "build":
                 print(json.dumps(build(connection), sort_keys=True))
@@ -359,71 +352,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ResultServer, ServeError
 
     try:
-        server = ResultServer(
-            checked if len(checked) > 1 else checked[0],
-            host=args.host, port=args.port,
-            cache_capacity=args.cache_capacity,
-            cache_ttl=args.cache_ttl)
+        server = ResultServer(database, host=args.host, port=args.port,
+                              cache_capacity=args.cache_capacity,
+                              cache_ttl=args.cache_ttl)
     except ServeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     port = server.start()
     # The bound port line is machine-read (tests, the CI smoke job
     # curl loop) — keep it first and on one line.
-    print(f"serving {' '.join(checked)} at http://{args.host}:{port}",
+    print(f"serving {database} at http://{args.host}:{port}",
           flush=True)
     try:
         server.serve_forever()
     finally:
         server.close()
     return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    import glob
-
-    from repro.openwpm.merge import merge_shards
-    from repro.openwpm.storage_shard import is_shard_database
-
-    shard_paths: List[str] = []
-    for spec in args.shards:
-        if os.path.isdir(spec):
-            # A crawl's <db>.shards/ directory: every worker shard in
-            # slot order, plus the coordinator's reclaim shard.
-            found = sorted(glob.glob(
-                os.path.join(spec, "shard-*.sqlite")))
-            coordinator = os.path.join(spec, "coordinator.sqlite")
-            if os.path.isfile(coordinator):
-                found.append(coordinator)
-            if not found:
-                print(f"error: no shard databases under {spec!r}",
-                      file=sys.stderr)
-                return 2
-            shard_paths.extend(found)
-        elif os.path.isfile(spec):
-            shard_paths.append(spec)
-        else:
-            print(f"error: no shard database at {spec!r}",
-                  file=sys.stderr)
-            return 2
-    for path in shard_paths:
-        if not is_shard_database(path):
-            print(f"error: {path!r} is not a shard database "
-                  f"(missing shard_jobs bookkeeping)", file=sys.stderr)
-            return 2
-    queue = None
-    try:
-        if args.queue is not None:
-            from repro.sched import JobQueue
-
-            queue = JobQueue(args.queue)
-        report = merge_shards(shard_paths, database_path=args.out,
-                              queue=queue)
-    finally:
-        if queue is not None:
-            queue.close()
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0 if not report.attempts_unresolved else 1
 
 
 def _site_list(spec: str) -> "tuple[int, list | None]":
@@ -454,15 +398,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
                   "coordinator's network, which worker processes "
                   "never touch)", file=sys.stderr)
             return 2
-        if args.shard_dbs and args.db == ":memory:":
-            print("error: --shard-dbs needs a file-backed --db "
-                  "(shards live at <db>.shards/ and merge into it)",
-                  file=sys.stderr)
-            return 2
-    elif args.shard_dbs or args.pin_cpus:
-        print("error: --shard-dbs/--pin-cpus require --worker-procs",
-              file=sys.stderr)
-        return 2
     if args.record is not None and args.resume:
         print("error: --record archives one complete crawl; it cannot "
               "be combined with --resume", file=sys.stderr)
@@ -541,8 +476,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         stage_deadline=args.stage_deadline,
         quarantine_after=args.quarantine_after,
         journal_dir=journal_dir, profile=args.profile,
-        record_dir=args.record, replay_dir=args.replay,
-        shard_dbs=args.shard_dbs, pin_cpus=args.pin_cpus)
+        record_dir=args.record, replay_dir=args.replay)
     report = result.report
     try:
         payload = {
@@ -908,16 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="scan on N supervised worker processes "
                            "instead of threads (needs --queue)")
-    scan.add_argument("--shard-dbs", action="store_true",
-                      help="with --worker-procs: workers spool "
-                           "evidence into private shard databases "
-                           "(<queue>.shards/), folded "
-                           "deterministically at scan end instead of "
-                           "shipping every payload to the coordinator")
-    scan.add_argument("--pin-cpus", action="store_true",
-                      help="with --worker-procs: pin each worker slot "
-                           "to one CPU (no-op with a warning where "
-                           "unsupported)")
     scan.add_argument("--queue", default=":memory:",
                       help="queue database path; evidence and the "
                            "script corpus persist to <queue>.scan / "
@@ -989,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(fn=_cmd_stats)
 
     serve = sub.add_parser(
-        "serve", help="query API over crawl database(s) (rollups)")
+        "serve", help="query API over a crawl database (rollups)")
     serve.add_argument("db",
                        help="crawl database to serve; or the word "
                             "'build' / 'verify' followed by the "
@@ -997,9 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "its rollup tables and exit")
     serve.add_argument("extra", nargs="*", default=[],
                        metavar="DB",
-                       help="more databases to serve as one fan-out "
-                            "view (aggregates merged at query time); "
-                            "or the database path for 'serve build' / "
+                       help="database path for 'serve build' / "
                             "'serve verify'")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -1034,16 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="with --worker-procs: abnormal deaths per "
                             "slot before the pool shrinks")
-    crawl.add_argument("--shard-dbs", action="store_true",
-                       help="with --worker-procs: each worker writes a "
-                            "private shard database (<db>.shards/), "
-                            "merged deterministically into --db at "
-                            "crawl end — no broker round-trip (needs "
-                            "a file-backed --db)")
-    crawl.add_argument("--pin-cpus", action="store_true",
-                       help="with --worker-procs: pin each worker slot "
-                            "to one CPU (no-op with a warning where "
-                            "unsupported)")
     crawl.add_argument("--db", default=":memory:",
                        help="crawl database path")
     crawl.add_argument("--queue", default=None,
@@ -1088,23 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--json", action="store_true",
                        help="emit the crawl report as JSON")
     crawl.set_defaults(fn=_cmd_crawl)
-
-    merge = sub.add_parser(
-        "merge", help="fold shard databases (--shard-dbs) into one "
-                      "canonical crawl database, deterministically")
-    merge.add_argument("shards", nargs="+",
-                       help="shard database files, or a <db>.shards/ "
-                            "directory (expands to every worker shard "
-                            "plus the coordinator shard)")
-    merge.add_argument("out",
-                       help="output crawl database (wiped first if it "
-                            "already holds crawl data)")
-    merge.add_argument("--queue", default=None, metavar="PATH",
-                       help="the crawl's queue database, used to "
-                            "resolve attempts a crashed worker left "
-                            "provisional (otherwise they are counted "
-                            "as unresolved and skipped; exit 1)")
-    merge.set_defaults(fn=_cmd_merge)
 
     fidelity = sub.add_parser(
         "fidelity", help="score a replayed bundle against its "

@@ -290,7 +290,6 @@ class PairedCrawl:
                 data.failed_hook_sites += 1
                 tm.metrics.counter("paired_hook_failures",
                                    client=label).inc()
-                extension.js_instrument.failed_windows.clear()
 
         # Both clients must see the sites in the same order (lockstep),
         # so the run drains an in-memory scheduler with one worker —

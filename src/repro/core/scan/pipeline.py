@@ -18,8 +18,6 @@ derives the paper's tables and figures:
 
 from __future__ import annotations
 
-import glob
-import os
 import threading
 import zlib
 from collections import Counter
@@ -273,9 +271,7 @@ class ScanPipeline:
             journal_dir: Optional[str] = None,
             fault_plan: Optional[object] = None,
             heartbeat_deadline: Optional[float] = None,
-            respawn_limit: Optional[int] = None,
-            shard_dbs: bool = False,
-            pin_cpus: bool = False) -> ScanDataset:
+            respawn_limit: Optional[int] = None) -> ScanDataset:
         """Scan the corpus; with ``workers > 1`` sites are distributed
         over extra browsers through the crawl scheduler. ``queue_path``
         and ``resume`` expose the scheduler's checkpoint/resume.
@@ -356,19 +352,6 @@ class ScanPipeline:
                                    clock=clock)
         scheduler.enqueue([config.domain for config in configs])
         if resume:
-            if worker_procs is not None and shard_dbs:
-                # A coordinator that died before its end-of-scan fold
-                # leaves completed jobs whose evidence exists only in
-                # the worker spools; land it in corpus/store first so
-                # the restore below sees a complete record (it rebuilds
-                # the dataset itself, hence dataset=None here).
-                from repro.sched.procpool import fold_scan_spools
-
-                fold_scan_spools(
-                    sorted(glob.glob(os.path.join(
-                        queue_path + ".shards", "shard-*.sqlite"))),
-                    scheduler.queue, corpus, store, None,
-                    self.telemetry)
             self._restore_completed(scheduler, store, configs, dataset)
             # Bodies collected by earlier runs are known content: warm
             # the engine's hash-keyed AST/closure cache so any script
@@ -394,9 +377,7 @@ class ScanPipeline:
                     else DEFAULT_HEARTBEAT_DEADLINE,
                     respawn_limit=respawn_limit
                     if respawn_limit is not None
-                    else DEFAULT_RESPAWN_LIMIT,
-                    shard_dbs=shard_dbs, pin_cpus=pin_cpus,
-                    resume=resume)
+                    else DEFAULT_RESPAWN_LIMIT)
             finally:
                 scheduler.close()
                 store.close()

@@ -17,6 +17,7 @@ kill + ``--resume``.
 """
 
 from repro.faults.plan import (
+    CHOKE_POINTS,
     DEFAULT_HANG_SECONDS,
     DEFAULT_SLOW_SECONDS,
     FAULT_KINDS,
@@ -33,6 +34,7 @@ from repro.faults.supervision import (
 )
 
 __all__ = [
+    "CHOKE_POINTS",
     "DEFAULT_HANG_SECONDS",
     "DEFAULT_SLOW_SECONDS",
     "FAULT_KINDS",

@@ -4,7 +4,9 @@ The paper's thesis is that web measurement tools fail *silently*; the
 only failure the reproduction could provoke until now was a Bernoulli
 coin-flip crash at visit start (``manager_params.crash_probability``).
 A :class:`FaultPlan` generalises that into a composable, seeded rule
-set injected at named choke points across the crawl stack:
+set injected at named choke points across the crawl stack
+(:data:`CHOKE_POINTS` is the same list in code; a rule whose ``point``
+names none of them is rejected):
 
 ==================== ===================================================
 choke point          injected by
@@ -23,9 +25,6 @@ choke point          injected by
                      callback, after records were produced)
 ``proc.envelope``    process worker, just before shipping the visit
                      envelope to the storage broker
-``proc.resolve``     process worker (shard mode), inside the
-                     provisional window — after the shard_jobs row,
-                     before the queue resolution
 ``proc.respawn``     process supervisor, when respawning a dead worker
 ==================== ===================================================
 
@@ -78,6 +77,23 @@ FAULT_KINDS = (
     "respawn_failure",
 )
 
+#: Every point a rule can fire at — one entry per row of the module
+#: docstring's table, in the same order.
+CHOKE_POINTS = (
+    "visit.start",
+    "visit.page_load",
+    "visit.interaction",
+    "visit.callbacks",
+    "visit.storage_commit",
+    "network.fetch",
+    "storage.begin_visit",
+    "pool.lease",
+    "proc.claim",
+    "proc.mid_visit",
+    "proc.envelope",
+    "proc.respawn",
+)
+
 #: Virtual seconds burned by a ``hang`` with no explicit ``seconds``.
 DEFAULT_HANG_SECONDS = 600.0
 #: Virtual seconds burned by a ``slow_response`` with no ``seconds``.
@@ -114,7 +130,8 @@ class FaultRule:
     """One injection rule.
 
     ``point`` and ``site`` accept ``fnmatch`` globs (``visit.*``,
-    ``*site-0001*``); a glob-free ``site`` matches as a substring of
+    ``*site-0001*``); ``point`` must name, or glob-match, at least one
+    of :data:`CHOKE_POINTS`. A glob-free ``site`` matches as a substring of
     the URL. ``nth`` fires only on the nth matching occurrence
     (1-based); ``probability`` draws from the rule's dedicated RNG on
     every match; ``times`` caps how often the rule fires in total;
@@ -134,6 +151,11 @@ class FaultRule:
             raise ValueError(
                 f"unknown fault {self.fault!r}; expected one of "
                 f"{FAULT_KINDS}")
+        if not any(_match_point(self.point, point)
+                   for point in CHOKE_POINTS):
+            raise ValueError(
+                f"fault point {self.point!r} matches no choke point; "
+                f"expected one of {CHOKE_POINTS} (or a glob over them)")
         if self.probability is not None \
                 and not 0.0 <= self.probability <= 1.0:
             raise ValueError(

@@ -14,7 +14,8 @@ is built to precede):
 
 * **One file per worker.** Each worker thread writes its own
   ``epoch-NNNN.<worker>.jsonl`` — no cross-worker lock on the hot path,
-  and the exact on-disk shape a sharded multi-process crawl needs.
+  and the exact on-disk shape the multi-process crawl
+  (``--worker-procs``) writes, one epoch per worker process.
 * **Crash-safe, append-only.** Events are written line-by-line and
   flushed at every state-changing event (visit/lease/fault/watchdog);
   high-volume span/metric events ride along in the buffer. A process

@@ -87,9 +87,7 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
                         journal_dir: Optional[str] = None,
                         profile: bool = False,
                         record_dir: Optional[str] = None,
-                        replay_dir: Optional[str] = None,
-                        shard_dbs: bool = False,
-                        pin_cpus: bool = False
+                        replay_dir: Optional[str] = None
                         ) -> TelemetryCrawlResult:
     """Crawl *site_count* sites with full telemetry enabled.
 
@@ -116,10 +114,6 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
     ``respawn_limit`` / ``respawn_backoff``. Mutually exclusive with
     ``workers`` and with record/replay (bundle hooks live on the
     coordinator's network object, which workers never touch).
-    ``shard_dbs=True`` gives each worker process a private shard
-    database merged deterministically at crawl end instead of the
-    broker round-trip; ``pin_cpus=True`` pins each worker slot to one
-    CPU (both require ``worker_procs``).
 
     ``fault_plan`` / ``stage_deadline`` / ``quarantine_after`` /
     ``crash_loop_threshold`` wire the fault-injection plan and its
@@ -147,10 +141,6 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
                 "worker_procs cannot record or replay bundles: the "
                 "bundle hooks attach to the coordinator's network, "
                 "which worker processes never touch")
-    elif shard_dbs or pin_cpus:
-        raise ValueError(
-            "--shard-dbs/--pin-cpus require --worker-procs (they "
-            "configure the worker processes)")
     telemetry = telemetry if telemetry is not None else Telemetry()
     journal: Any = NULL_JOURNAL
     if journal_dir is not None and telemetry.enabled:
@@ -241,8 +231,7 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
                 respawn_limit=respawn_limit
                 if respawn_limit is not None
                 else DEFAULT_RESPAWN_LIMIT,
-                respawn_backoff=respawn_backoff,
-                shard_dbs=shard_dbs, pin_cpus=pin_cpus)
+                respawn_backoff=respawn_backoff)
         elif workers is None:
             results = manager.crawl(urls)
         else:

@@ -188,26 +188,6 @@ def build_crawl_report(storage: Any,
                                                "proc_heartbeats_missed"),
             "pool_shrinks": _metric_value(metrics, "proc_pool_shrinks"),
         }
-        # Sharded-storage bookkeeping (only present under --shard-dbs):
-        # merge/fold tallies plus CPU pinning, gated so broker-mode
-        # reports stay unchanged.
-        if _has_metric(metrics, "proc_shard_merges"):
-            process_pool["shard_merges"] = _metric_value(
-                metrics, "proc_shard_merges")
-            for key, name in (
-                    ("shard_attempts_merged",
-                     "proc_shard_attempts_merged"),
-                    ("shard_attempts_voided",
-                     "proc_shard_attempts_voided"),
-                    ("shard_visits_merged", "proc_shard_visits_merged")):
-                if _has_metric(metrics, name):
-                    process_pool[key] = _metric_value(metrics, name)
-        if _has_metric(metrics, "proc_shard_scans_folded"):
-            process_pool["shard_scans_folded"] = _metric_value(
-                metrics, "proc_shard_scans_folded")
-        if _has_metric(metrics, "proc_workers_pinned"):
-            process_pool["workers_pinned"] = _metric_value(
-                metrics, "proc_workers_pinned")
 
     # --- stage latency -----------------------------------------------
     stages = []
@@ -413,14 +393,6 @@ def build_crawl_report(storage: Any,
             check("journal proc_shrink events == proc_pool_shrinks",
                   journal_count("proc_shrink"),
                   process_pool["pool_shrinks"])
-            if "shard_merges" in process_pool:
-                check("journal shard_merge events == proc_shard_merges",
-                      journal_count("shard_merge"),
-                      process_pool["shard_merges"])
-            if "workers_pinned" in process_pool:
-                check("journal proc_pin events == proc_workers_pinned",
-                      journal_count("proc_pin"),
-                      process_pool["workers_pinned"])
 
     browser_crash_counts = {
         (metric.get("labels") or {}).get("browser", ""):
@@ -588,21 +560,6 @@ def render_crawl_report(report: Dict[str, Any]) -> str:
         if process_pool["pool_shrinks"]:
             push(f"  pool shrink events ..... "
                  f"{int(process_pool['pool_shrinks'])}")
-        if "shard_merges" in process_pool:
-            push(f"  shard merges ........... "
-                 f"{int(process_pool['shard_merges'])}"
-                 f"  (attempts: "
-                 f"{int(process_pool.get('shard_attempts_merged', 0))}"
-                 f" applied, "
-                 f"{int(process_pool.get('shard_attempts_voided', 0))}"
-                 f" voided; visits: "
-                 f"{int(process_pool.get('shard_visits_merged', 0))})")
-        if "shard_scans_folded" in process_pool:
-            push(f"  shard scans folded ..... "
-                 f"{int(process_pool['shard_scans_folded'])}")
-        if "workers_pinned" in process_pool:
-            push(f"  workers pinned ......... "
-                 f"{int(process_pool['workers_pinned'])}")
         push("")
 
     corpus_stats = report.get("corpus")

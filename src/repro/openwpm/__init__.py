@@ -11,21 +11,15 @@ hardening (Sec. 6) are defined against exactly those behaviours.
 """
 
 from repro.openwpm.config import BrowserParams, ManagerParams
-from repro.openwpm.merge import MergeReport, merge_shards
 from repro.openwpm.storage import StorageController
-from repro.openwpm.storage_shard import ShardRecorder, is_shard_database
 from repro.openwpm.extension import OpenWPMExtension
 from repro.openwpm.task_manager import CommandSequence, TaskManager
 
 __all__ = [
     "BrowserParams",
     "ManagerParams",
-    "MergeReport",
     "StorageController",
-    "ShardRecorder",
     "OpenWPMExtension",
     "TaskManager",
     "CommandSequence",
-    "is_shard_database",
-    "merge_shards",
 ]

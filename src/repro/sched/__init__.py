@@ -37,7 +37,6 @@ from repro.sched.procpool import (
     ScanBroker,
     WorkerSpec,
     diff_snapshots,
-    fold_scan_spools,
     run_process_crawl,
     run_process_scan,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ScanBroker",
     "WorkerSpec",
     "diff_snapshots",
-    "fold_scan_spools",
     "run_process_crawl",
     "run_process_scan",
 ]

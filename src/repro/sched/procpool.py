@@ -21,29 +21,13 @@ thread (and the GIL) forever. This module gives the watchdog teeth:
   backoff) → pool shrink → crawl abort**, keeping the queue's
   exactly-once accounting intact at every rung.
 
-**Sharded storage mode** (``shard_dbs=True``, the ``--shard-dbs``
-flag): the broker round-trip disappears. Each worker owns a private
-*file-backed* shard database (``<db>.shards/shard-NN.sqlite``), writes
-visit records locally, and resolves its own queue verdicts — the pipes
-carry only lifecycle events (claim/complete/fail/lost + metric
-snapshots), so storage throughput scales with worker count instead of
-serializing through one writer. A :class:`ShardRecorder` in every
-shard records per-attempt row ranges, the coordinator ledgers reclaim
-terminals into its own ``coordinator.sqlite`` shard, and the
-end-of-crawl merge (:mod:`repro.openwpm.merge`) folds everything into
-the canonical database in strict job-id order — byte-identical to the
-broker path on clean runs, and to the inline path under the chaos
-scenarios the tests pin. ``pin_cpus=True`` additionally pins each
-worker to one CPU via ``os.sched_setaffinity`` (a no-op with a warning
-where unsupported).
-
 Fault injection: the plan's ``proc.claim`` / ``proc.mid_visit`` /
-``proc.envelope`` / ``proc.resolve`` / ``proc.respawn`` points drive
-``worker_sigkill``, ``broker_pipe_error``, ``respawn_failure`` and
-*real-time* ``hang`` faults (see :mod:`repro.faults.plan`). Workers
-report proc-level rule firings before executing them, so a respawned
-worker pre-consumes the spent ``times`` budget and a kill-once rule
-kills exactly once per lineage.
+``proc.envelope`` / ``proc.respawn`` points drive ``worker_sigkill``,
+``broker_pipe_error``, ``respawn_failure`` and *real-time* ``hang``
+faults (see :mod:`repro.faults.plan`). Workers report proc-level rule
+firings before executing them, so a respawned worker pre-consumes the
+spent ``times`` budget and a kill-once rule kills exactly once per
+lineage.
 
 Determinism caveats (documented, asserted by tests where it matters):
 
@@ -59,11 +43,8 @@ Determinism caveats (documented, asserted by tests where it matters):
 
 from __future__ import annotations
 
-import glob
-import json
 import os
 import signal
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
@@ -118,11 +99,6 @@ class WorkerSpec:
     #: coordinator's stop broadcast races fire-and-forget workers, so
     #: the budget is what makes ``stop_after_jobs`` deterministic).
     claim_budget: Optional[int] = None
-    #: sharded storage mode: the worker's private shard database (crawl)
-    #: or result spool (scan). ``None`` keeps the broker path.
-    shard_path: Optional[str] = None
-    #: pin this worker process to one CPU (``--pin-cpus``).
-    pin_cpu: Optional[int] = None
     # scan:
     scan_client_id: str = "scan-client"
     scan_dwell: float = 60.0
@@ -245,32 +221,11 @@ class _ProcFaults:
         # Other kinds are meaningless at proc points; ignore.
 
 
-def _apply_cpu_pin(spec: WorkerSpec, conn: Any) -> None:
-    """Pin this process to its slot's CPU, or report why not.
-
-    ``sched_setaffinity`` is Linux-only; elsewhere (and on failure)
-    pinning degrades to a no-op plus a supervisor-side warning.
-    """
-    if spec.pin_cpu is None:
-        return
-    if not hasattr(os, "sched_setaffinity"):
-        _send(conn, {"type": "pin_failed",
-                     "reason": "os.sched_setaffinity unsupported "
-                               "on this platform"})
-        return
-    try:
-        os.sched_setaffinity(0, {spec.pin_cpu})
-        _send(conn, {"type": "pinned", "cpu": spec.pin_cpu})
-    except OSError as exc:
-        _send(conn, {"type": "pin_failed", "reason": repr(exc)})
-
-
 def _worker_entry(spec: WorkerSpec, conn: Any) -> None:
     """Spawn entry point (module-level so the spawn context can pickle
     a reference to it)."""
     from repro.obs.journal import NULL_JOURNAL, Journal
 
-    _apply_cpu_pin(spec, conn)
     telemetry = Telemetry()
     journal: Any = NULL_JOURNAL
     if spec.journal_dir is not None:
@@ -356,29 +311,19 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
         network = make_lab_network()
 
     plan = _build_worker_plan(spec)
-    # Worker databases are never read paths: the canonical rollups are
-    # maintained by the broker (or rebuilt by the merge) on the
-    # coordinator side, so maintaining them here too would only burn
-    # CPU on aggregates nobody queries.
+    # Worker scratch databases are export buffers, never read paths:
+    # the coordinator's broker maintains the canonical rollups when it
+    # applies each envelope, so maintaining them here too would only
+    # burn CPU on aggregates nobody queries.
     os.environ["REPRO_ROLLUPS"] = "off"
     manager = TaskManager(
         replace(spec.manager_params, num_browsers=1,
-                database_path=spec.shard_path or ":memory:",
-                fault_plan=plan),
+                database_path=":memory:", fault_plan=plan),
         [spec.browser_params], network, telemetry=telemetry)
     faults = _ProcFaults(manager.fault_plan, conn, journal)
     faults.install_reporting()
 
     queue = _open_worker_queue(spec)
-    recorder = None
-    if spec.shard_path is not None:
-        from repro.openwpm.storage_shard import ShardRecorder
-
-        recorder = ShardRecorder(manager.storage)
-        # A predecessor incarnation may have died inside the
-        # provisional window or mid-visit; settle its rows against the
-        # queue and prune anything it never recorded.
-        recorder.recover(queue)
     wall = queue.clock
     journal.bind_worker(spec.owner)
     tm = telemetry
@@ -440,8 +385,6 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
             queue_wait.observe(max(0.0, job.claimed_at
                                    - job.enqueued_at))
             busy.inc()
-            attempt_lo = recorder.watermarks() \
-                if recorder is not None else None
             resolution: Dict[str, Any]
             try:
                 result = _run_crawl_job(spec, manager, faults, heartbeat,
@@ -461,11 +404,6 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                 lease_duration.observe(max(0.0, wall.peek()
                                            - job.claimed_at))
             faults.check("proc.envelope", job.site_url)
-            if recorder is not None:
-                _resolve_sharded(spec, manager, faults, queue, recorder,
-                                 job, resolution, attempt_lo, conn,
-                                 telemetry)
-                continue
             envelope = export_envelope()
             _send(conn, {
                 "type": "resolution", "job_id": job.job_id,
@@ -498,99 +436,6 @@ def _run_crawl_job(spec: WorkerSpec, manager: Any, faults: _ProcFaults,
         slot=manager.browsers[0], propagate_hangs=True)
 
 
-def _resolve_sharded(spec: WorkerSpec, manager: Any, faults: _ProcFaults,
-                     queue: JobQueue, recorder: Any, job: Job,
-                     resolution: Dict[str, Any], attempt_lo: Dict[str, int],
-                     conn: Any, telemetry: Telemetry) -> None:
-    """Shard-mode verdict: the worker IS the broker for its own jobs.
-
-    Mirrors ``CrawlBroker._apply_complete`` / ``_apply_terminal`` /
-    ``_apply_retry`` against the local shard: the ledgering, counters,
-    journal events, and lease-race retractions all happen here, and the
-    coordinator only hears a lifecycle summary. The shard_jobs row is
-    provisional across the queue call (see
-    :mod:`repro.openwpm.storage_shard` for the crash-window story).
-    """
-    tm = telemetry
-    journal = tm.journal
-    url = job.site_url
-    kind = resolution["kind"]
-    error = resolution["error"]
-    quarantined = manager.is_quarantined(url)
-    exhausted = kind == "retry" and job.attempts >= spec.max_attempts
-    final_kind = "terminal" if exhausted else kind
-    if final_kind == "terminal" \
-            and error not in ("failure_limit", "quarantined") \
-            and not quarantined:
-        # Speculative mirror of the broker's ``_record_terminal``: the
-        # given-up ledger row must land inside this attempt's ranges,
-        # and the exhaustion test is the exact predicate ``queue.fail``
-        # applies. A lost lease voids it with the rest of the attempt.
-        manager._record_given_up(spec.browser_params.browser_id, url,
-                                 job.attempts, error)
-    seq, attempt_hi = recorder.record_provisional(
-        job_id=job.job_id, attempts=job.attempts, owner=spec.owner,
-        site_url=url, browser_id=spec.browser_params.browser_id,
-        kind=final_kind, error=error, quarantined=quarantined,
-        lo=attempt_lo)
-    faults.check("proc.resolve", url)
-    applied = True
-    state = ""
-    try:
-        if kind == "complete":
-            queue.complete(job.job_id, spec.owner)
-            state = "completed"
-        else:
-            state = queue.fail(job.job_id, spec.owner, error=error,
-                               retry=kind == "retry")
-    except LeaseError:
-        applied = False
-    if applied:
-        if kind == "complete":
-            journal.emit("lease_complete", job_id=job.job_id, url=url)
-            tm.metrics.counter("sched_jobs_completed").inc()
-            if quarantined:
-                # A hung sibling attempt tripped this worker's breaker
-                # while the visit was in flight; the queue accepted the
-                # completion, so the shard's quarantine row is stale.
-                manager._retract_stale_quarantine(url)
-        else:
-            journal.emit("lease_fail", job_id=job.job_id, url=url,
-                         state=state, error=error)
-            if state == "failed":
-                tm.metrics.counter("sched_jobs_failed").inc()
-            else:
-                tm.metrics.counter("sched_jobs_retried").inc()
-    else:
-        # Lease race lost: void the attempt locally, exactly as the
-        # broker's ``_discard`` voids a shipped envelope — visits go,
-        # content and crash rows stay, failed rows retract site-wide,
-        # a stale quarantine retracts iff the job actually completed.
-        journal.emit("lease_lost", job_id=job.job_id, url=url)
-        tm.metrics.counter("sched_leases_lost").inc()
-        for visit_id in recorder.visit_ids_in(
-                attempt_lo["site_visits"], attempt_hi["site_visits"]):
-            journal.emit("visit_discarded", url=url, visit_id=visit_id)
-            manager._count_discarded(
-                manager.storage.delete_visit(visit_id))
-            tm.metrics.counter("visits_discarded").inc()
-        if recorder.has_rows("failed_visits",
-                             attempt_lo["failed_visits"],
-                             attempt_hi["failed_visits"]):
-            manager._retract_failed_rows(url)
-        if quarantined and queue.job_status(job.job_id) == "completed":
-            manager._retract_stale_quarantine(url)
-    recorder.finalize(seq, applied, state)
-    _send(conn, {
-        "type": "resolution", "shard": True, "job_id": job.job_id,
-        "owner": spec.owner, "site_url": url,
-        "attempts": job.attempts,
-        "browser_id": spec.browser_params.browser_id,
-        "kind": final_kind, "error": error, "applied": applied,
-        "state": state, "quarantined": quarantined,
-        "metrics": tm.metrics.snapshot()})
-
-
 def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                      journal: Any) -> None:
     from repro.core.scan.pipeline import ScanDataset, ScanPipeline
@@ -610,12 +455,6 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     corpus = ScriptCorpus(":memory:")
     dataset = ScanDataset(corpus=corpus)
     queue = _open_worker_queue(spec)
-    spool = None
-    if spec.shard_path is not None:
-        from repro.openwpm.storage_shard import ScanSpool
-
-        spool = ScanSpool(spec.shard_path)
-        spool.recover(queue)
     journal.bind_worker(spec.owner)
     tm = telemetry
     busy = tm.metrics.gauge("sched_workers_busy")
@@ -678,11 +517,6 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
             # Refresh the engine-cache gauges so the shipped snapshot
             # carries them (the inline path exports these at run end).
             export_cache_metrics(tm.metrics)
-            if spool is not None:
-                _resolve_scan_sharded(spec, queue, spool, job,
-                                      resolution, faults, conn,
-                                      telemetry)
-                continue
             _send(conn, {
                 "type": "resolution", "job_id": job.job_id,
                 "owner": spec.owner, "site_url": job.site_url,
@@ -692,71 +526,6 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
         journal.unbind()
         queue.close()
         corpus.close()
-        if spool is not None:
-            spool.close()
-
-
-def _resolve_scan_sharded(spec: WorkerSpec, queue: JobQueue, spool: Any,
-                          job: Job, resolution: Dict[str, Any],
-                          faults: _ProcFaults, conn: Any,
-                          telemetry: Telemetry) -> None:
-    """Shard-mode scan verdict: spool the payload, resolve the queue.
-
-    The payload row is provisional across the queue call so "completed
-    in the queue" always implies "evidence on disk" (in the spool; the
-    end-of-scan fold lands it in the canonical corpus/store in job-id
-    order). Failed jobs spool nothing — there is nothing to fold.
-    """
-    tm = telemetry
-    journal = tm.journal
-    url = job.site_url
-    kind = resolution["kind"]
-    error = resolution.get("error", "")
-    seq = None
-    if kind == "complete":
-        spool.add_bodies(resolution["bodies"])
-        payload = json.dumps(
-            {"evidences": resolution["evidences"],
-             "analysis": [list(row)
-                          for row in resolution["analysis"]]})
-        seq = spool.record_provisional(
-            job_id=job.job_id, attempts=job.attempts,
-            owner=spec.owner, site_url=url, kind="complete",
-            error="", payload=payload)
-    faults.check("proc.resolve", url)
-    applied = True
-    state = ""
-    try:
-        if kind == "complete":
-            queue.complete(job.job_id, spec.owner)
-            state = "completed"
-        else:
-            state = queue.fail(job.job_id, spec.owner, error=error,
-                               retry=True)
-    except LeaseError:
-        applied = False
-    if applied:
-        if kind == "complete":
-            journal.emit("lease_complete", job_id=job.job_id, url=url)
-            tm.metrics.counter("sched_jobs_completed").inc()
-        else:
-            journal.emit("lease_fail", job_id=job.job_id, url=url,
-                         state=state, error=error)
-            if state == "failed":
-                tm.metrics.counter("sched_jobs_failed").inc()
-            else:
-                tm.metrics.counter("sched_jobs_retried").inc()
-    else:
-        journal.emit("lease_lost", job_id=job.job_id, url=url)
-        tm.metrics.counter("sched_leases_lost").inc()
-    if seq is not None:
-        spool.finalize(seq, applied, state)
-    _send(conn, {
-        "type": "resolution", "shard": True, "job_id": job.job_id,
-        "owner": spec.owner, "site_url": url,
-        "attempts": job.attempts, "kind": kind, "error": error,
-        "applied": applied, "state": state,
-        "metrics": tm.metrics.snapshot()})
 
 
 # ----------------------------------------------------------------------
@@ -1024,106 +793,6 @@ class CrawlBroker:
 
 
 # ----------------------------------------------------------------------
-# Coordinator side: shard-mode lifecycle tally
-# ----------------------------------------------------------------------
-class _NullFinalizer:
-    """Shard mode has no coordinator-side apply order to enforce — the
-    merge imposes ``(job_id, attempts)`` order afterwards — so the
-    pool's finalizer hooks (force a dead worker's finals, flush at end,
-    unblock on out-of-band terminals) have nothing to do."""
-
-    def force_owner(self, owner: str) -> None:
-        pass
-
-    def mark_terminal(self, job_id: int) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-
-class _ShardLifecycle:
-    """Coordinator-side tally of worker-resolved verdicts (shard mode).
-
-    In shard mode the workers own the queue resolution, the ledgering,
-    the counters, and the journal events; the coordinator only counts
-    lifecycle summaries for the final report. The exception is reclaim
-    terminals (lease expiries settled by the supervisor): they have no
-    live worker to own them, so the books are kept here — exactly as
-    the broker's ``finalize_reclaimed`` keeps them."""
-
-    def __init__(self, queue: JobQueue, telemetry: Telemetry) -> None:
-        self.queue = queue
-        self.tm = coalesce(telemetry)
-        self.finalizer = _NullFinalizer()
-        self.completed = 0
-        self.failed = 0
-        self.retried = 0
-        self.lease_lost = 0
-        self.errors: List[str] = []
-
-    def handle_resolution(self, message: Dict[str, Any]) -> None:
-        if not message.get("applied"):
-            self.lease_lost += 1
-            return
-        if message["kind"] == "complete":
-            self.completed += 1
-        elif message.get("state") == "failed":
-            self.failed += 1
-            self.errors.append(
-                f"{message['site_url']}: {message['error']}")
-        else:
-            self.retried += 1
-
-    def finalize_reclaimed(self, job: Job) -> None:
-        self.tm.journal.emit("lease_expired_terminal",
-                             job_id=job.job_id, url=job.site_url)
-        self.tm.journal.emit("lease_fail", job_id=job.job_id,
-                             url=job.site_url, state="failed",
-                             error="lease_expired")
-        self.tm.metrics.counter("sched_jobs_failed").inc()
-        self.failed += 1
-        self.errors.append(f"{job.site_url}: lease_expired")
-
-
-class ShardCrawlLifecycle(_ShardLifecycle):
-    """Crawl-flavoured shard lifecycle: reclaim terminals additionally
-    ledger the loss into the coordinator's own shard
-    (``coordinator.sqlite``), so the merged database carries the same
-    ``failed_visits`` row the broker's ``_record_given_up`` writes."""
-
-    def __init__(self, manager: Any, queue: JobQueue,
-                 telemetry: Telemetry, storage: Any,
-                 recorder: Any) -> None:
-        super().__init__(queue, telemetry)
-        self.manager = manager
-        self.storage = storage
-        self.recorder = recorder
-
-    def finalize_reclaimed(self, job: Job) -> None:
-        super().finalize_reclaimed(job)
-        # Mirror of ``TaskManager._record_given_up`` against the
-        # coordinator shard. The queue already holds the failed verdict
-        # when the pool hands the job over, so the shard_jobs row is
-        # finalized applied immediately (no provisional window).
-        lo = self.recorder.watermarks()
-        self.storage.record_failed_visit(0, job.site_url, job.attempts,
-                                         "lease_expired")
-        self.tm.journal.emit("visit_given_up", url=job.site_url,
-                             attempts=job.attempts,
-                             reason="lease_expired")
-        self.tm.metrics.counter("visits_given_up").inc()
-        with self.manager._failed_sites_lock:
-            self.manager.failed_sites.append(job.site_url)
-        seq, _hi = self.recorder.record_provisional(
-            job_id=job.job_id, attempts=job.attempts,
-            owner="supervisor", site_url=job.site_url, browser_id=0,
-            kind="terminal", error="lease_expired", quarantined=False,
-            lo=lo)
-        self.recorder.finalize(seq, True, "failed")
-
-
-# ----------------------------------------------------------------------
 # Coordinator side: supervision
 # ----------------------------------------------------------------------
 @dataclass
@@ -1217,7 +886,6 @@ class ProcessPool:
         self._stop_sent = False
         self._claim_budget: Optional[int] = None
         self._last_reclaim = 0.0
-        self._pin_warned = False
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, slot: _Slot, respawn: bool = False) -> None:
@@ -1281,20 +949,6 @@ class ProcessPool:
         elif kind == "fault_fired":
             index = int(message["rule"])
             self.fault_spent[index] = self.fault_spent.get(index, 0) + 1
-        elif kind == "pinned":
-            self.tm.metrics.counter("proc_workers_pinned").inc()
-            self.tm.journal.emit("proc_pin", slot=slot.index,
-                                 owner=slot.owner,
-                                 cpu=message.get("cpu"))
-        elif kind == "pin_failed":
-            self.tm.journal.emit("proc_pin_unsupported",
-                                 slot=slot.index, owner=slot.owner,
-                                 reason=message.get("reason"))
-            if not self._pin_warned:
-                self._pin_warned = True
-                print("warning: --pin-cpus is unsupported here "
-                      f"({message.get('reason')}); continuing unpinned",
-                      file=sys.stderr)
         elif kind in ("drained", "stopped"):
             slot.clean_exit = True
         elif kind == "fatal":
@@ -1561,16 +1215,28 @@ class ScanBroker:
         self.lease_lost += 1
 
     def _apply_complete(self, message: Dict[str, Any]) -> bool:
+        from repro.core.scan.classify import classify_site
         from repro.core.scan.results_store import evidence_from_dict
 
         domain = message["site_url"]
         bodies = message["bodies"]
         evidences = [evidence_from_dict(item)
                      for item in message["evidences"]]
-        batch = _scan_stage(
-            self.corpus, self.store, domain, evidences,
-            bodies.__getitem__,
+        # Stage through the same batch machinery the inline handler
+        # uses, in the same per-visit order, so occurrence rows and
+        # refcounts come out identical to a 1-worker run.
+        batch = self.corpus.site_batch(domain)
+        for evidence in evidences:
+            for script_url, digest in evidence.scripts:
+                batch.add(script_url, bodies[digest])
+            batch.flush_visit()
+        batch.commit()
+        self.corpus.import_analysis_cache(
             [tuple(row) for row in message.get("analysis", [])])
+        # Persist before completing, so 'completed in queue' always
+        # implies 'evidence on disk' — same invariant as the inline
+        # handler.
+        self.store.save(domain, evidences)
         try:
             self.queue.complete(message["job_id"], message["owner"])
         except LeaseError:
@@ -1582,7 +1248,17 @@ class ScanBroker:
                              job_id=message["job_id"], url=domain)
         self.tm.metrics.counter("sched_jobs_completed").inc()
         self.completed += 1
-        _scan_bookkeep(self.dataset, self.corpus, domain, evidences)
+        dataset = self.dataset
+        dataset.front_only[domain] = classify_site(
+            domain, evidences[:1], corpus=self.corpus)
+        dataset.combined[domain] = classify_site(
+            domain, evidences, corpus=self.corpus)
+        dataset.evidence[domain] = evidences
+        dataset.subpage_visits += max(0, len(evidences) - 1)
+        dataset.visited_sites += 1
+        for evidence in evidences:
+            for _, digest in evidence.scripts:
+                dataset.unique_scripts.add(digest)
         return True
 
     def finalize_reclaimed(self, job: Job) -> None:
@@ -1601,120 +1277,9 @@ class ScanBroker:
         self.finalizer.submit(job.job_id, "", apply)
 
 
-def _scan_stage(corpus: Any, store: Any, domain: str,
-                evidences: List[Any], get_body: Callable[[str], Any],
-                analysis: List[Tuple]) -> Any:
-    """Stage one completed site into corpus/store; returns the
-    un-promoted batch.
-
-    Runs the same batch machinery as the inline handler, in the same
-    per-visit order, so occurrence rows and refcounts come out
-    identical to a 1-worker run. Evidence is persisted *before* the
-    caller touches the queue, so 'completed in queue' always implies
-    'evidence on disk'.
-    """
-    batch = corpus.site_batch(domain)
-    for evidence in evidences:
-        for script_url, digest in evidence.scripts:
-            body = get_body(digest)
-            if body is None:
-                raise RuntimeError(
-                    f"scan spool for {domain!r} is missing script "
-                    f"body {digest!r} ({script_url})")
-            batch.add(script_url, body)
-        batch.flush_visit()
-    batch.commit()
-    corpus.import_analysis_cache(analysis)
-    store.save(domain, evidences)
-    return batch
-
-
-def _scan_bookkeep(dataset: Any, corpus: Any, domain: str,
-                   evidences: List[Any]) -> None:
-    """Dataset bookkeeping for one completed site (inline-identical)."""
-    from repro.core.scan.classify import classify_site
-
-    dataset.front_only[domain] = classify_site(
-        domain, evidences[:1], corpus=corpus)
-    dataset.combined[domain] = classify_site(
-        domain, evidences, corpus=corpus)
-    dataset.evidence[domain] = evidences
-    dataset.subpage_visits += max(0, len(evidences) - 1)
-    dataset.visited_sites += 1
-    for evidence in evidences:
-        for _, digest in evidence.scripts:
-            dataset.unique_scripts.add(digest)
-
-
-def fold_scan_spools(spool_paths: List[str], queue: Any, corpus: Any,
-                     store: Any, dataset: Optional[Any],
-                     telemetry: Optional[Telemetry] = None) -> int:
-    """Fold worker scan spools into the canonical corpus/store.
-
-    Applied completions from every spool are replayed in strict
-    ``(job_id, attempts)`` order — the order the single-writer
-    ``ScanBroker`` applies envelopes in — and each folded row is marked
-    ``folded`` in its spool so resumed runs never double-count
-    refcounts. With ``dataset=None`` only corpus/store are touched (the
-    pre-restore recovery fold on ``--resume``; the restore pass rebuilds
-    the dataset from the store right after). Returns the fold count.
-    """
-    from repro.core.scan.results_store import evidence_from_dict
-    from repro.openwpm.storage_shard import read_scan_spool
-
-    tm = coalesce(telemetry)
-    entries = []
-    readers = []
-    for index, path in enumerate(spool_paths):
-        rows, bodies = read_scan_spool(path, queue)
-        readers.append(bodies)
-        for row in rows:
-            entries.append((int(row["job_id"]), int(row["attempts"]),
-                            index, int(row["seq"]), row, bodies))
-    entries.sort(key=lambda entry: entry[:4])
-    folded = 0
-    seen = set()
-    try:
-        for job_id, _attempts, _index, seq, row, bodies in entries:
-            if job_id in seen:
-                # A crash in the provisional window can leave duplicate
-                # applied completes; the queue enforces one completion,
-                # so the first row in fold order is the record.
-                continue
-            seen.add(job_id)
-            if row.get("state") == "folded":
-                continue
-            payload = json.loads(row["payload"])
-            domain = row["site_url"]
-            evidences = [evidence_from_dict(item)
-                         for item in payload["evidences"]]
-            batch = _scan_stage(
-                corpus, store, domain, evidences, bodies.get,
-                [tuple(item) for item in payload.get("analysis", [])])
-            corpus.promote(domain, batch.token)
-            bodies.mark_folded(seq)
-            if dataset is not None:
-                _scan_bookkeep(dataset, corpus, domain, evidences)
-            folded += 1
-    finally:
-        for reader in readers:
-            reader.close()
-    if folded:
-        tm.journal.emit("scan_spool_fold", folded=folded,
-                        spools=len(spool_paths))
-        tm.metrics.counter("proc_shard_scans_folded").inc(folded)
-    return folded
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _pin_for(slot: int, pin_cpus: bool) -> Optional[int]:
-    if not pin_cpus:
-        return None
-    return slot % (os.cpu_count() or 1)
-
-
 def run_process_crawl(manager: Any, urls: List[str], *,
                       queue_path: str, worker_procs: int,
                       web: str = "lab", site_count: int = 0,
@@ -1727,9 +1292,7 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                       heartbeat_deadline: float =
                       DEFAULT_HEARTBEAT_DEADLINE,
                       respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
-                      respawn_backoff: float = 0.5,
-                      shard_dbs: bool = False,
-                      pin_cpus: bool = False) -> Any:
+                      respawn_backoff: float = 0.5) -> Any:
     """Drain *urls* through *worker_procs* supervised processes.
 
     The coordinator's *manager* owns the crawl database (its browsers
@@ -1737,11 +1300,6 @@ def run_process_crawl(manager: Any, urls: List[str], *,
     worker, exactly the slot a 1-worker inline crawl would use).
     Returns the same :class:`~repro.sched.scheduler.CrawlReport` shape
     as ``TaskManager.crawl_scheduled``.
-
-    ``shard_dbs=True`` swaps the broker for per-worker shard databases
-    under ``<db>.shards/`` plus a deterministic end-of-crawl merge (see
-    the module docstring); ``pin_cpus=True`` pins worker *slot* to CPU
-    ``slot % cpu_count``.
     """
     from repro.sched.scheduler import CrawlReport, CrawlScheduler
 
@@ -1749,52 +1307,14 @@ def run_process_crawl(manager: Any, urls: List[str], *,
         raise ValueError(
             "--worker-procs requires a file-backed queue "
             "(worker processes cannot share an in-memory queue)")
-    shard_dir = coordinator_path = None
-    if shard_dbs:
-        from repro.openwpm.merge import has_data
-
-        if manager.storage.database_path == ":memory:":
-            raise ValueError(
-                "--shard-dbs requires a file-backed crawl database "
-                "(shards merge into it on disk)")
-        shard_dir = manager.storage.database_path + ".shards"
-        os.makedirs(shard_dir, exist_ok=True)
-        existing = sorted(glob.glob(
-            os.path.join(shard_dir, "*.sqlite*")))
-        if not resume:
-            for stale in existing:
-                os.remove(stale)
-        elif not existing and has_data(manager.storage):
-            raise ValueError(
-                "--shard-dbs cannot resume a crawl recorded in broker "
-                "mode: the merge would wipe the canonical rows and "
-                "refold only shard data; resume without --shard-dbs")
-        coordinator_path = os.path.join(shard_dir, "coordinator.sqlite")
     mp = manager.manager_params
     scheduler = CrawlScheduler(
         queue_path, resume=resume, seed=mp.seed,
         max_attempts=max_attempts, lease_seconds=lease_seconds,
         telemetry=manager.telemetry, clock=WallClock())
-    coord_storage = None
     try:
         scheduler.enqueue(urls)
-        if shard_dbs:
-            from repro.openwpm.storage import StorageController
-            from repro.openwpm.storage_shard import ShardRecorder
-
-            coord_storage = StorageController(coordinator_path,
-                                              rollups=False)
-            coord_recorder = ShardRecorder(coord_storage,
-                                           source="coordinator")
-            # A previous coordinator may have died inside the (tiny)
-            # window between the ledger write and the finalize.
-            coord_recorder.recover(scheduler.queue)
-            broker: Any = ShardCrawlLifecycle(
-                manager, scheduler.queue, manager.telemetry,
-                coord_storage, coord_recorder)
-        else:
-            broker = CrawlBroker(manager, scheduler.queue,
-                                 manager.telemetry)
+        broker = CrawlBroker(manager, scheduler.queue, manager.telemetry)
         # Serialize the *user* plan, not the built one: the worker's
         # TaskManager re-appends the legacy crash_probability rule
         # itself, so serializing manager.fault_plan would double it.
@@ -1815,11 +1335,7 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                 fault_plan=plan_dict, fault_spent=fault_spent,
                 max_attempts=max_attempts,
                 lease_seconds=lease_seconds, journal_dir=journal_dir,
-                heartbeat_seconds=heartbeat_seconds,
-                shard_path=os.path.join(
-                    shard_dir, f"shard-{slot:02d}.sqlite")
-                if shard_dir is not None else None,
-                pin_cpu=_pin_for(slot, pin_cpus))
+                heartbeat_seconds=heartbeat_seconds)
 
         pool = ProcessPool(scheduler.queue, broker, make_spec,
                            worker_procs, telemetry=manager.telemetry,
@@ -1828,11 +1344,6 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                            respawn_limit=respawn_limit,
                            respawn_backoff=respawn_backoff)
         pool_report = pool.run(stop_after_jobs=stop_after_jobs)
-        if shard_dbs:
-            coord_storage.close()
-            coord_storage = None
-            _merge_crawl_shards(manager, scheduler.queue, shard_dir,
-                                coordinator_path)
         counts = scheduler.queue.counts()
         return CrawlReport(
             workers=worker_procs, enqueued_total=sum(counts.values()),
@@ -1846,46 +1357,7 @@ def run_process_crawl(manager: Any, urls: List[str], *,
             interrupted=pool_report.interrupted, counts=counts,
             errors=list(pool_report.errors))
     finally:
-        if coord_storage is not None:
-            coord_storage.close()
         scheduler.close()
-
-
-def _merge_crawl_shards(manager: Any, queue: JobQueue, shard_dir: str,
-                        coordinator_path: str) -> None:
-    """End-of-crawl merge: fold every shard into the canonical DB."""
-    from repro.openwpm.merge import merge_shards
-
-    tm = coalesce(manager.telemetry)
-    shard_paths = sorted(glob.glob(
-        os.path.join(shard_dir, "shard-*.sqlite")))
-    if os.path.exists(coordinator_path):
-        shard_paths.append(coordinator_path)
-    report = merge_shards(shard_paths, controller=manager.storage,
-                          queue=queue)
-    tm.metrics.counter("proc_shard_merges").inc()
-    if report.attempts_applied:
-        tm.metrics.counter("proc_shard_attempts_merged").inc(
-            report.attempts_applied)
-    if report.attempts_voided:
-        tm.metrics.counter("proc_shard_attempts_voided").inc(
-            report.attempts_voided)
-    if report.visits_imported:
-        tm.metrics.counter("proc_shard_visits_merged").inc(
-            report.visits_imported)
-    tm.journal.emit("shard_merge", shards=report.shards,
-                    attempts_applied=report.attempts_applied,
-                    attempts_voided=report.attempts_voided,
-                    attempts_demoted=report.attempts_demoted,
-                    attempts_unresolved=report.attempts_unresolved,
-                    visits=report.visits_imported, wiped=report.wiped)
-    # The merged ledger is the authoritative failed-sites roster (the
-    # lifecycle tally cannot see which rows survived retraction).
-    with manager.storage._lock:
-        rows = manager.storage.connection.execute(
-            "SELECT site_url FROM failed_visits ORDER BY id").fetchall()
-    with manager._failed_sites_lock:
-        manager.failed_sites[:] = [row[0] for row in rows]
 
 
 def run_process_scan(pipeline: Any, scheduler: Any, corpus: Any,
@@ -1898,32 +1370,16 @@ def run_process_scan(pipeline: Any, scheduler: Any, corpus: Any,
                      heartbeat_deadline: float =
                      DEFAULT_HEARTBEAT_DEADLINE,
                      respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
-                     respawn_backoff: float = 0.5,
-                     shard_dbs: bool = False,
-                     pin_cpus: bool = False,
-                     resume: bool = False) -> Any:
+                     respawn_backoff: float = 0.5) -> Any:
     """Process-pool backend for :meth:`ScanPipeline.run`.
 
     The caller (the pipeline) owns corpus/store/dataset and the
     scheduler; this function owns the workers and the single-writer
-    :class:`ScanBroker` that folds their envelopes back in — or, with
-    ``shard_dbs=True``, per-worker spool databases under
-    ``<queue>.shards/`` whose completions are folded in job-id order
-    after the pool drains.
+    :class:`ScanBroker` that folds their envelopes back in.
     """
     telemetry = pipeline.telemetry
-    spool_dir = None
-    if shard_dbs:
-        spool_dir = queue_path + ".shards"
-        os.makedirs(spool_dir, exist_ok=True)
-        if not resume:
-            for stale in sorted(glob.glob(
-                    os.path.join(spool_dir, "*.sqlite*"))):
-                os.remove(stale)
-        broker: Any = _ShardLifecycle(scheduler.queue, telemetry)
-    else:
-        broker = ScanBroker(scheduler.queue, corpus, store, dataset,
-                            telemetry)
+    broker = ScanBroker(scheduler.queue, corpus, store, dataset,
+                        telemetry)
     plan_dict = fault_plan.to_dict() if fault_plan is not None else None
 
     def make_spec(slot: int, generation: int,
@@ -1940,27 +1396,13 @@ def run_process_scan(pipeline: Any, scheduler: Any, corpus: Any,
             scan_client_id=pipeline.client_id,
             scan_dwell=pipeline.dwell,
             scan_max_subpages=pipeline.max_subpages,
-            scan_visit_subpages=visit_subpages,
-            shard_path=os.path.join(
-                spool_dir, f"shard-{slot:02d}.sqlite")
-            if spool_dir is not None else None,
-            pin_cpu=_pin_for(slot, pin_cpus))
+            scan_visit_subpages=visit_subpages)
 
     pool = ProcessPool(scheduler.queue, broker, make_spec, worker_procs,
                        telemetry=telemetry, fault_plan=fault_plan,
                        heartbeat_deadline=heartbeat_deadline,
                        respawn_limit=respawn_limit,
                        respawn_backoff=respawn_backoff)
-    report = pool.run()
-    if shard_dbs:
-        # Fold runs even after an interrupted pool: every queue-level
-        # completion has its evidence in a spool (persist-before-
-        # complete), and folding keeps the 'completed implies evidence
-        # in the store' invariant that --resume checks.
-        fold_scan_spools(
-            sorted(glob.glob(os.path.join(spool_dir,
-                                          "shard-*.sqlite"))),
-            scheduler.queue, corpus, store, dataset, telemetry)
-    return report
+    return pool.run()
 
 

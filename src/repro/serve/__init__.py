@@ -20,19 +20,8 @@ from repro.serve.aggregates import (
     drop_reasons_section,
     encode_payload,
 )
-from repro.serve.api import (
-    ResultServer,
-    ServeError,
-    etag_for,
-    generation_header,
-    json_get,
-)
+from repro.serve.api import ResultServer, ServeError, etag_for, json_get
 from repro.serve.cache import CachedResponse, ResponseCache
-from repro.serve.fanout import (
-    FANOUT_BUILDERS,
-    fanout_state,
-    vector_generation,
-)
 from repro.serve.rollups import (
     ROLLUP_SCHEMA_VERSION,
     ROLLUP_TABLES,
@@ -48,12 +37,10 @@ from repro.serve.rollups import (
 )
 
 __all__ = [
-    "AGGREGATE_BUILDERS", "CachedResponse", "FANOUT_BUILDERS",
-    "ResponseCache", "ResultServer", "RollupMaintainer",
-    "ROLLUP_SCHEMA_VERSION", "ROLLUP_TABLES", "ServeError",
-    "VisitDelta", "batch_state", "build", "database_section",
-    "drop_reasons_section", "encode_payload", "etag_for",
-    "fanout_state", "generation", "generation_header", "json_get",
-    "rollup_state", "rollups_present", "rollups_state",
-    "vector_generation", "verify",
+    "AGGREGATE_BUILDERS", "CachedResponse", "ResponseCache",
+    "ResultServer", "RollupMaintainer", "ROLLUP_SCHEMA_VERSION",
+    "ROLLUP_TABLES", "ServeError", "VisitDelta", "batch_state",
+    "build", "database_section", "drop_reasons_section",
+    "encode_payload", "etag_for", "generation", "json_get",
+    "rollup_state", "rollups_present", "rollups_state", "verify",
 ]

@@ -32,12 +32,6 @@ matches the current generation's tag gets a body-less ``304 Not
 Modified`` — correct because *every* mutation of served state bumps the
 generation, so an unchanged generation means unchanged bytes.
 
-Shard fan-out: constructing the server with a *list* of database paths
-serves the merged view of all of them (:mod:`repro.serve.fanout`) — per
-request, each shard contributes one read snapshot, the rollup
-aggregates sum at query time, and the per-shard generations compose
-into a vector generation for cache keys and ``ETag`` values.
-
 ``ResultServer.respond`` is transport-independent — tests and the
 benchmark drive it directly; the HTTP layer only adds sockets.
 """
@@ -48,7 +42,7 @@ import json
 import sqlite3
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.serve import rollups
@@ -61,67 +55,33 @@ from repro.serve.aggregates import (
     sites_payload,
 )
 from repro.serve.cache import CachedResponse, ResponseCache
-from repro.serve.fanout import (
-    FANOUT_BUILDERS,
-    fanout_state,
-    healthz_fanout,
-    script_fanout,
-    site_fanout,
-    sites_fanout,
-    vector_generation,
-)
 
 
 class ServeError(RuntimeError):
     """The server cannot run against this database."""
 
 
-def etag_for(generation: Any) -> str:
+def etag_for(generation: int) -> str:
     """The strong entity tag for a rollup generation.
 
-    ``5`` → ``"g5"``; a fan-out vector ``(5, 2)`` → ``"g5-2"``. Any
-    mutation of served state bumps some component, so equal tags imply
-    byte-equal payloads.
+    ``5`` → ``"g5"``. Any mutation of served state bumps the
+    generation, so equal tags imply byte-equal payloads.
     """
-    if isinstance(generation, (tuple, list)):
-        return '"g' + "-".join(str(int(g)) for g in generation) + '"'
-    return f'"g{int(generation)}"'
-
-
-def generation_header(generation: Any) -> str:
-    """``X-Rollup-Generation`` header value (vectors comma-joined)."""
-    if isinstance(generation, (tuple, list)):
-        return ",".join(str(int(g)) for g in generation)
-    return str(generation)
+    return f'"g{generation}"'
 
 
 class ResultServer:
-    """Serves one or more crawl databases' aggregates over HTTP.
+    """Serves one crawl database's aggregates over HTTP."""
 
-    A single path serves that database directly; a list of paths
-    serves the shard fan-out view (:mod:`repro.serve.fanout`) with
-    vector generations for cache keys and ``ETag`` values.
-    """
-
-    def __init__(self, database_path: Union[str, Sequence[str]],
-                 host: str = "127.0.0.1",
+    def __init__(self, database_path: str, host: str = "127.0.0.1",
                  port: int = 0, cache_capacity: int = 512,
                  cache_ttl: float = 30.0, clock: Any = None,
                  ensure: bool = True) -> None:
         import os
 
-        if isinstance(database_path, str):
-            paths = [database_path]
-        else:
-            paths = [str(p) for p in database_path]
-        if not paths:
-            raise ServeError("at least one database path is required")
-        for path in paths:
-            if not os.path.isfile(path):
-                raise ServeError(f"no crawl database at {path!r}")
-        self.database_paths: List[str] = paths
-        self.database_path = paths[0]
-        self.fan_out = len(paths) > 1
+        if not os.path.isfile(database_path):
+            raise ServeError(f"no crawl database at {database_path!r}")
+        self.database_path = database_path
         self.host = host
         self.port = port
         self.cache = ResponseCache(capacity=cache_capacity,
@@ -141,40 +101,26 @@ class ResultServer:
 
         Needs a moment of write access; skipped automatically when the
         rollups are already fresh (the live-crawl maintenance path).
-        Under fan-out every shard is backfilled; the returned state is
-        ``fresh`` only when all of them are.
         """
-        states = []
-        for path in self.database_paths:
-            connection = sqlite3.connect(path)
-            try:
-                state = rollups.rollups_state(connection)
-                if state != "fresh":
-                    rollups.build(connection)
-                states.append(rollups.rollups_state(connection))
-            finally:
-                connection.close()
-        for state in states:
+        connection = sqlite3.connect(self.database_path)
+        try:
+            state = rollups.rollups_state(connection)
             if state != "fresh":
-                return state
-        return "fresh"
+                rollups.build(connection)
+            return rollups.rollups_state(connection)
+        finally:
+            connection.close()
 
     # -- per-thread read-only connections -----------------------------
-    def _connections(self) -> List[sqlite3.Connection]:
-        connections = getattr(self._local, "connections", None)
-        if connections is None:
-            connections = []
-            for path in self.database_paths:
-                connection = sqlite3.connect(
-                    f"file:{path}?mode=ro", uri=True,
-                    isolation_level=None)
-                connection.execute("PRAGMA busy_timeout = 10000")
-                connections.append(connection)
-            self._local.connections = connections
-        return connections
-
     def _connection(self) -> sqlite3.Connection:
-        return self._connections()[0]
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = sqlite3.connect(
+                f"file:{self.database_path}?mode=ro", uri=True,
+                isolation_level=None)
+            connection.execute("PRAGMA busy_timeout = 10000")
+            self._local.connection = connection
+        return connection
 
     # -- request core (transport-independent) -------------------------
     def respond(self, path: str, query: str = "",
@@ -196,19 +142,12 @@ class ResultServer:
     def _uncached(self, path: str) -> CachedResponse:
         self.metrics.counter("serve_requests_total",
                              endpoint="healthz").inc()
-        connections = self._connections()
-        for connection in connections:
-            connection.execute("BEGIN")
+        connection = self._connection()
+        connection.execute("BEGIN")
         try:
-            if self.fan_out:
-                payload = healthz_fanout(connections,
-                                         self.database_paths)
-            else:
-                payload = healthz_payload(connections[0],
-                                          self.database_path)
+            payload = healthz_payload(connection, self.database_path)
         finally:
-            for connection in connections:
-                connection.execute("COMMIT")
+            connection.execute("COMMIT")
         status = 200 if payload["rollups"] == "fresh" else 503
         return CachedResponse(body=encode_payload(payload),
                               status=status,
@@ -217,22 +156,15 @@ class ResultServer:
     def _cached(self, path: str, query: str,
                 if_none_match: Optional[str] = None) -> CachedResponse:
         key = f"{path}?{query}" if query else path
-        connections = self._connections()
-        # One explicit transaction per request (per shard): the
-        # generation below and every row the builders read come from
-        # the same WAL snapshot(s), so a concurrent writer can never
-        # give us a torn answer (generation G with generation-G+1
-        # aggregates).
-        for connection in connections:
-            connection.execute("BEGIN")
+        connection = self._connection()
+        # One explicit transaction per request: the generation below
+        # and every row the builder reads come from the same WAL
+        # snapshot, so a concurrent writer can never give us a torn
+        # answer (generation G with generation-G+1 aggregates).
+        connection.execute("BEGIN")
         try:
-            if self.fan_out:
-                generation: Any = vector_generation(connections)
-                fresh = fanout_state(connections) == "fresh"
-            else:
-                generation = rollups.generation(connections[0])
-                fresh = rollups.rollups_state(
-                    connections[0]) == "fresh"
+            generation = rollups.generation(connection)
+            fresh = rollups.rollups_state(connection) == "fresh"
             etag = etag_for(generation)
             if (fresh and if_none_match is not None
                     and if_none_match.strip() == etag):
@@ -251,15 +183,10 @@ class ResultServer:
                 entry.etag = etag
                 return entry
             self.metrics.counter("serve_cache_misses_total").inc()
-            if self.fan_out:
-                body, status, endpoint = self._build_fanout(
-                    connections, path, query)
-            else:
-                body, status, endpoint = self._build(connections[0],
-                                                     path, query)
+            body, status, endpoint = self._build(connection, path,
+                                                 query)
         finally:
-            for connection in connections:
-                connection.execute("COMMIT")
+            connection.execute("COMMIT")
         self.metrics.counter("serve_requests_total",
                              endpoint=endpoint).inc()
         if status != 200:
@@ -313,51 +240,6 @@ class ResultServer:
         return encode_payload({"error": f"no route for {path!r}"}), \
             404, "unknown"
 
-    def _build_fanout(self, connections: Sequence[sqlite3.Connection],
-                      path: str, query: str) -> Tuple[bytes, int, str]:
-        """Render one fan-out payload inside the caller's read
-        transactions (same routes and shapes as :meth:`_build`)."""
-        state = fanout_state(connections)
-        if state != "fresh":
-            return (encode_payload(
-                {"error": "rollups are " + state
-                          + "; run `repro serve build`"}), 503, "stale")
-        if path == "/sites":
-            return encode_payload(sites_fanout(connections)), 200, \
-                "sites"
-        if path == "/site":
-            params = parse_qs(query)
-            urls = params.get("url", [])
-            if len(urls) != 1:
-                return encode_payload(
-                    {"error": "expected exactly one url= parameter"}), \
-                    400, "site"
-            payload = site_fanout(connections, urls[0])
-            if payload is None:
-                return encode_payload(
-                    {"error": f"unknown site {urls[0]!r}"}), 404, "site"
-            return encode_payload(payload), 200, "site"
-        if path.startswith("/aggregates/"):
-            name = path[len("/aggregates/"):]
-            builder = FANOUT_BUILDERS.get(name)
-            if builder is None:
-                return encode_payload(
-                    {"error": f"unknown aggregate {name!r}",
-                     "known": sorted(FANOUT_BUILDERS)}), 404, \
-                    "aggregates"
-            return encode_payload(builder(connections)), 200, \
-                "aggregates"
-        if path.startswith("/corpus/"):
-            digest = unquote(path[len("/corpus/"):])
-            payload = script_fanout(connections, digest)
-            if payload is None:
-                return encode_payload(
-                    {"error": f"unknown script hash {digest!r}"}), \
-                    404, "corpus"
-            return encode_payload(payload), 200, "corpus"
-        return encode_payload({"error": f"no route for {path!r}"}), \
-            404, "unknown"
-
     # -- HTTP plumbing ------------------------------------------------
     def start(self) -> int:
         """Bind and serve in a daemon thread; returns the bound port
@@ -382,7 +264,7 @@ class ResultServer:
                 self.send_header("Content-Length",
                                  str(len(response.body)))
                 self.send_header("X-Rollup-Generation",
-                                 generation_header(response.generation))
+                                 str(response.generation))
                 if response.etag:
                     self.send_header("ETag", response.etag)
                 self.end_headers()
@@ -417,11 +299,10 @@ class ResultServer:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
-        connections = getattr(self._local, "connections", None)
-        if connections is not None:
-            for connection in connections:
-                connection.close()
-            self._local.connections = None
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+            self._local.connection = None
 
 
 def json_get(url: str, timeout: float = 10.0) -> Tuple[int, Any]:

@@ -38,17 +38,12 @@ class _MonotonicClock:
 
 @dataclass
 class CachedResponse:
-    """One rendered response: body bytes plus transport metadata.
-
-    ``generation`` is an int for a single-database server and a tuple
-    (one component per shard) under fan-out — the cache only ever
-    compares generations for equality, so both key identically.
-    """
+    """One rendered response: body bytes plus transport metadata."""
 
     body: bytes
     status: int = 200
     content_type: str = "application/json"
-    generation: Any = 0
+    generation: int = 0
     stored_at: float = 0.0
     #: Entity tag for conditional requests; empty means "send none".
     #: Derived from ``generation`` by the server, never stored here by
@@ -81,7 +76,7 @@ class ResponseCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str, generation: Any
+    def get(self, key: str, generation: int
             ) -> Optional[CachedResponse]:
         """The entry for *key* iff stored under *generation* and young
         enough; stale entries (either way) are evicted on sight."""
@@ -105,7 +100,7 @@ class ResponseCache:
             self.hits += 1
             return entry
 
-    def put(self, key: str, generation: Any, body: bytes,
+    def put(self, key: str, generation: int, body: bytes,
             status: int = 200,
             content_type: str = "application/json"
             ) -> CachedResponse:

@@ -243,11 +243,13 @@ class TestServeCommand:
         assert args.cache_capacity == 512 and args.cache_ttl == 30.0
         assert args.extra == []
 
-    def test_parser_accepts_fanout_paths(self):
-        args = build_parser().parse_args(["serve", "a.db", "b.db",
-                                          "c.db"])
-        assert args.db == "a.db"
-        assert args.extra == ["b.db", "c.db"]
+    def test_rejects_more_than_one_database(self, crawl_db, capsys):
+        code = main(["serve", crawl_db, crawl_db, crawl_db])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip() == \
+            "error: repro serve takes one crawl database, got 3"
 
     def test_serve_rejects_missing_db(self, tmp_path, capsys):
         code = main(["serve", str(tmp_path / "nope.db")])
@@ -261,12 +263,13 @@ class TestServeCommand:
         assert code == 2
         assert "needs exactly one database path" in captured.err
 
-    def test_rejects_missing_fanout_member(self, crawl_db, capsys):
-        # Extra positionals are fan-out members now; each must exist.
+    def test_rejects_second_database_before_opening_it(self, crawl_db,
+                                                      capsys):
         code = main(["serve", crawl_db, "whatever"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "no crawl database at 'whatever'" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "takes one crawl database, got 2" in captured.err
 
     def test_build_then_verify_roundtrip(self, crawl_db, capsys):
         code, out = run_cli(capsys, ["serve", "build", crawl_db])

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.lab import make_lab_network
 from repro.faults import (
+    CHOKE_POINTS,
     CircuitBreaker,
     CrashLoopDetector,
     FaultPlan,
@@ -88,6 +89,34 @@ class TestFaultRule:
             FaultRule(fault="crash", nth=0)
         with pytest.raises(ValueError):
             FaultRule(fault="crash", times=0)
+
+    @pytest.mark.parametrize("point", ["proc.resolve", "visit.pageload",
+                                       "browser.*"])
+    def test_point_matching_no_choke_point_rejected(self, point):
+        # A rule that can never fire would let a chaos run pass
+        # without injecting anything.
+        with pytest.raises(ValueError, match="matches no choke point"):
+            FaultPlan.from_dict(
+                {"rules": [{"fault": "crash", "point": point}]})
+
+    @pytest.mark.parametrize("point", ["visit.*", "proc.claim", "*"])
+    def test_known_point_or_matching_glob_accepted(self, point):
+        plan = FaultPlan.from_dict(
+            {"rules": [{"fault": "crash", "point": point}]})
+        assert plan.rules[0].point == point
+
+    def test_docstring_table_lists_every_choke_point(self):
+        import re
+
+        import repro.faults.plan as plan_module
+
+        lines = plan_module.__doc__.splitlines()
+        rules = [i for i, line in enumerate(lines)
+                 if line.startswith("====")]
+        documented = tuple(
+            match.group(1) for line in lines[rules[1] + 1:rules[2]]
+            if (match := re.match(r"``([a-z_]+\.[a-z_]+)``", line)))
+        assert documented == CHOKE_POINTS
 
 
 class TestFaultPlanMatching:

@@ -137,6 +137,31 @@ class TestJSInstrumentFingerprint:
         assert any(e.request.resource_type == "csp_report"
                    for e in result.exchanges)
 
+    def test_csp_blocked_window_released_after_next_visit(self):
+        import gc
+        import weakref
+
+        from repro.core.lab import make_lab_network
+        from repro.net.page import PageSpec
+
+        blocked = PageSpec(url=LAB_URL, title="csp",
+                           csp_header="script-src 'self'")
+        open_page = PageSpec(url=LAB_URL + "open", title="open")
+        network = make_lab_network(pages={"/": blocked,
+                                          "/open": open_page})
+        extension = OpenWPMExtension(BrowserParams())
+        browser = Browser(openwpm_profile("ubuntu", "regular"), network,
+                          extension=extension)
+        browser.visit(LAB_URL, wait=1)
+        failed = extension.js_instrument.failed_windows
+        assert len(failed) == 1
+        window = weakref.ref(failed[0])
+
+        browser.visit(LAB_URL + "open", wait=1)
+        assert extension.js_instrument.failed_windows == []
+        gc.collect()
+        assert window() is None
+
 
 class TestHTTPInstrument:
     def _exchange(self, url, content_type):

@@ -10,15 +10,17 @@ generation exposing exactly which state an answer came from.
 
 import json
 import os
+import shutil
 import sqlite3
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs.runner import run_telemetry_crawl
 from repro.serve import ResultServer, ServeError, verify
-from repro.serve.api import json_get
+from repro.serve.api import etag_for, json_get
 
 
 def decode(response):
@@ -131,6 +133,103 @@ class TestEndpoints:
             response = server.respond("/aggregates/totals")
             assert response.status == 200
             assert decode(response)["totals"]["site_visits"] == 4
+        finally:
+            server.close()
+
+
+class TestConditionalRequests:
+    """The ETag **is** the rollup generation, so ``If-None-Match``
+    turns a repeat poll into an empty 304 whenever no crawl data
+    changed."""
+
+    @pytest.fixture(scope="class")
+    def database(self, tmp_path_factory):
+        db_path = str(tmp_path_factory.mktemp("serve-etag") / "crawl.db")
+        result = run_telemetry_crawl(
+            site_count=6, seed=7, database_path=db_path,
+            crash_probability=0.0, browsers=1, web="lab")
+        result.close()
+        return db_path
+
+    @pytest.fixture(scope="class")
+    def server(self, database):
+        server = ResultServer(database)
+        yield server
+        server.close()
+
+    def test_etag_formats(self):
+        assert etag_for(5) == '"g5"'
+
+    def test_if_none_match_returns_empty_304(self, server):
+        first = server.respond("/sites")
+        assert first.status == 200
+        assert first.etag == etag_for(first.generation)
+        before = server.metrics.counter_value("serve_not_modified_total")
+        again = server.respond("/sites", "", first.etag)
+        assert again.status == 304
+        assert again.body == b""
+        assert again.etag == first.etag
+        assert server.metrics.counter_value(
+            "serve_not_modified_total") == before + 1
+
+    def test_stale_etag_gets_full_response(self, server):
+        first = server.respond("/sites")
+        response = server.respond("/sites", "", '"g0"')
+        assert response.status == 200
+        assert response.body == first.body
+
+    def test_not_modified_does_not_populate_cache(self, server):
+        etag = server.respond("/aggregates/cookies").etag
+        server.cache.clear()
+        misses = server.cache.stats()["misses"]
+        response = server.respond("/aggregates/cookies", "", etag)
+        assert response.status == 304
+        # The 304 short-circuits before the cache: no lookup, no fill.
+        assert server.cache.stats()["misses"] == misses
+
+    def test_http_transport_conditional_roundtrip(self, database):
+        server = ResultServer(database)
+        try:
+            port = server.start()
+            url = f"http://127.0.0.1:{port}/aggregates/totals"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                etag = response.headers["ETag"]
+                generation = response.headers["X-Rollup-Generation"]
+                payload = json.loads(response.read())
+            assert etag == etag_for(int(generation))
+            assert payload["totals"]["site_visits"] == 6
+            request = urllib.request.Request(
+                url, headers={"If-None-Match": etag})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 304
+            assert excinfo.value.headers["ETag"] == etag
+            assert excinfo.value.read() == b""
+        finally:
+            server.close()
+
+    def test_generation_bump_invalidates_held_etag(self, database,
+                                                   tmp_path):
+        """Advancing the rollup generation changes both the cache key
+        and the ETag — a held ETag re-validates as 200 with a new
+        tag."""
+        db_path = str(tmp_path / "bumped.db")
+        shutil.copy(database, db_path)
+        server = ResultServer(db_path)
+        try:
+            first = server.respond("/aggregates/symbols")
+            conn = sqlite3.connect(db_path)
+            conn.execute(
+                "UPDATE rollups_meta SET value = value + 1 "
+                "WHERE key = 'generation'")
+            conn.commit()
+            conn.close()
+            response = server.respond("/aggregates/symbols", "",
+                                      first.etag)
+            assert response.status == 200
+            assert response.body == first.body
+            assert response.etag != first.etag
+            assert response.generation == first.generation + 1
         finally:
             server.close()
 
