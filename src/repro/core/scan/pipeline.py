@@ -303,7 +303,7 @@ class ScanPipeline:
             ScanResultStore,
             store_path_for,
         )
-        from repro.sched import CrawlScheduler
+        from repro.sched import COMPLETED, CrawlScheduler
 
         if worker_procs is not None:
             if workers != 1:
@@ -410,27 +410,21 @@ class ScanPipeline:
             # (bodies are staged into the corpus at the same point).
             store.save(job.site_url, dataset.evidence[job.site_url])
 
-        def pop_token(job, worker_index):
+        def on_settled(job, worker_index, state, error):
             with self._dataset_lock:
-                return tokens.pop((job.site_url, worker_index), None)
-
-        def on_completed(job, worker_index):
-            token = pop_token(job, worker_index)
-            if token is not None:
+                token = tokens.pop((job.site_url, worker_index), None)
+            if token is None:
+                return
+            if state == COMPLETED:
                 corpus.promote(job.site_url, token)
-
-        def on_discard_result(job, worker_index):
-            # This attempt's verdict was voided by a lost lease: the
-            # winning attempt owns the site's record, so retract the
-            # refcounts this one staged.
-            token = pop_token(job, worker_index)
-            if token is not None:
+            else:
+                # This attempt's verdict was voided by a lost lease:
+                # the winning attempt owns the site's record, so
+                # retract the refcounts this one staged.
                 corpus.drop_staged(token)
 
         try:
-            scheduler.run(handler, workers=workers,
-                          on_completed=on_completed,
-                          on_discard_result=on_discard_result)
+            scheduler.run(handler, workers=workers, on_settled=on_settled)
             if self.recorder is not None:
                 # Archive the memoized analysis verdicts so replay can
                 # seed its own cache without re-scanning sources.

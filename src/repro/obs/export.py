@@ -55,9 +55,11 @@ HELP_TEXTS: Dict[str, str] = {
         "1 while the JS instrument's channel is verified live.",
     "stage_seconds": "Per-stage visit latency (virtual seconds).",
     "queue_wait_seconds":
-        "Job wait from enqueue to claim (virtual seconds).",
+        "Job wait from enqueue to claim (queue-clock seconds: virtual "
+        "when inline, wall clock under --worker-procs).",
     "lease_duration_seconds":
-        "Job lease hold time (virtual seconds).",
+        "Job lease hold time (queue-clock seconds: virtual when "
+        "inline, wall clock under --worker-procs).",
     "sched_jobs_claimed": "Queue jobs claimed by workers.",
     "sched_jobs_completed": "Queue jobs completed.",
     "sched_jobs_failed": "Queue jobs terminally failed.",

@@ -21,7 +21,7 @@ import random
 import sqlite3
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.browser.browser import Browser, VisitResult
 from repro.browser.profiles import openwpm_profile
@@ -42,6 +42,8 @@ from repro.obs.telemetry import Telemetry, coalesce
 from repro.openwpm.config import BrowserParams, ManagerParams
 from repro.openwpm.extension import OpenWPMExtension
 from repro.openwpm.storage import StorageController
+from repro.sched.jobs import COMPLETED, FAILED
+from repro.sched.settle import LOST
 
 #: abort_visit table name -> records_written instrument label.
 _DISCARD_INSTRUMENTS = {
@@ -49,6 +51,50 @@ _DISCARD_INSTRUMENTS = {
     "http_requests": "http",
     "javascript_cookies": "cookie",
 }
+
+
+#: Ledger operations :func:`visit_ledger_ops` returns, with their
+#: argument: a committed visit id to delete, a give-up reason, or None.
+DISCARD_VISIT = "discard_visit"
+GIVE_UP = "give_up"
+RETRACT_GIVEN_UP = "retract_given_up"
+RETRACT_QUARANTINE = "retract_quarantine"
+
+
+def visit_ledger_ops(state: str, error: str, visit_ids: List[int],
+                     gave_up: bool, quarantined: bool,
+                     completed_elsewhere: bool) -> List[Tuple[str, Any]]:
+    """The crawl ledgers' answer to one settled job attempt.
+
+    Inputs: the settled *state* (``completed``, ``failed``, ``pending``
+    or ``lost``) and *error*; the visits this attempt committed; whether
+    it gave the site up (wrote a ``failed_visits`` row); whether the
+    site is quarantined; and — for a lost attempt — whether another
+    worker completed the job. Every settled site must end in exactly
+    one of ``site_visits``, ``failed_visits`` or ``quarantined_sites``:
+
+    * completed — a quarantine a hung sibling attempt tripped while
+      this visit was in flight is stale;
+    * failed — a row the attempt already wrote (give-up or
+      quarantine) is the entry, otherwise the site is given up;
+    * lost — the verdict is void: this attempt's visits and give-up
+      row go, and if the job was completed elsewhere a quarantine this
+      attempt tripped is stale too;
+    * pending — nothing yet: the re-run settles the site.
+    """
+    if state == COMPLETED:
+        return [(RETRACT_QUARANTINE, None)] if quarantined else []
+    if state == FAILED:
+        return [] if gave_up or quarantined else [(GIVE_UP, error)]
+    if state != LOST:
+        return []
+    ops: List[Tuple[str, Any]] = [(DISCARD_VISIT, visit_id)
+                                  for visit_id in visit_ids]
+    if gave_up:
+        ops.append((RETRACT_GIVEN_UP, None))
+    if quarantined and completed_elsewhere:
+        ops.append((RETRACT_QUARANTINE, None))
+    return ops
 
 
 class BrowserCrashed(RuntimeError):
@@ -79,13 +125,11 @@ class ManagedBrowser:
     extension: OpenWPMExtension
     crash_count: int = 0
     #: visit_id of this slot's most recently *committed* visit, None
-    #: until one completes. The scheduler's discard hook uses it to
-    #: delete the copy when a late completion loses the lease race.
+    #: until one completes. Settling a lost lease deletes that copy.
     last_visit_id: Optional[int] = None
     #: site whose ``failed_visits`` row this slot's latest
     #: execute_command_sequence call wrote (retry exhaustion), None
-    #: otherwise. The discard hook retracts that row when the
-    #: terminal-failure verdict is voided by a lost lease.
+    #: otherwise. Settling a lost lease retracts that row.
     last_given_up_site: Optional[str] = None
     #: Index into the slot's JS-instrument record stream at visit
     #: start; the slice from here is the visit's bundle trace.
@@ -317,6 +361,45 @@ class TaskManager:
         with self._failed_sites_lock:
             self.failed_sites.append(url)
 
+    def _give_up(self, browser_id: int, url: str, attempts: int,
+                 reason: str) -> bool:
+        """Ledger a site given up on; False when the row was retracted
+        again because a concurrent trip (scheduled path) quarantined
+        the site meanwhile — that row is the ledger entry, the
+        exhaustion one would double up."""
+        self._record_given_up(browser_id, url, attempts, reason)
+        if self.is_quarantined(url):
+            self._retract_failed_rows(url)
+            return False
+        return True
+
+    def settle_visit(self, queue: Any, job_id: int, url: str, state: str,
+                     error: str, *, browser_id: int, attempts: int,
+                     visit_ids: List[int], gave_up: bool,
+                     quarantined: bool) -> None:
+        """Bring the crawl ledgers in line with one settled job attempt.
+
+        The rules are :func:`visit_ledger_ops`; this applies them. The
+        thread pool's hook passes the attempt's slot state, the process
+        broker the shipped envelope (the visits it imported, whether a
+        ``failed_visits`` row came along, the worker's breaker state).
+        """
+        completed_elsewhere = state == LOST and quarantined \
+            and queue.job_status(job_id) == COMPLETED
+        for op, arg in visit_ledger_ops(state, error, visit_ids, gave_up,
+                                        quarantined, completed_elsewhere):
+            if op == DISCARD_VISIT:
+                self.telemetry.journal.emit("visit_discarded", url=url,
+                                            visit_id=arg)
+                self._count_discarded(self.storage.delete_visit(arg))
+                self.telemetry.metrics.counter("visits_discarded").inc()
+            elif op == GIVE_UP:
+                self._give_up(browser_id, url, attempts, arg)
+            elif op == RETRACT_GIVEN_UP:
+                self._retract_failed_rows(url)
+            else:
+                self._retract_stale_quarantine(url)
+
     def _count_discarded(self, discarded: Dict[str, int]) -> None:
         for table, count in discarded.items():
             instrument = _DISCARD_INSTRUMENTS.get(table)
@@ -497,14 +580,8 @@ class TaskManager:
             visit_span.set_attribute("outcome", "failed_exhausted")
             visit_span.set_attribute("attempts", attempts)
             visit_span.set_status(f"error:{give_up_reason}")
-            self._record_given_up(slot.browser_id, sequence.url,
-                                  attempts, give_up_reason)
-            if self.is_quarantined(sequence.url):
-                # A concurrent trip (scheduled path) quarantined the
-                # site while this attempt was retrying: that row is
-                # the ledger entry, the exhaustion one would double up.
-                self._retract_failed_rows(sequence.url)
-            else:
+            if self._give_up(slot.browser_id, sequence.url, attempts,
+                             give_up_reason):
                 slot.last_given_up_site = sequence.url
             return None
 
@@ -643,63 +720,27 @@ class TaskManager:
                 # row written — do not burn queue retries on it too.
                 raise JobFailed("failure_limit", retry=False)
 
-        def record_terminal_failure(job: Any, error: str,
-                                    worker_index: int) -> None:
-            if error in ("failure_limit", "quarantined") \
-                    or self.is_quarantined(job.site_url):
-                # execute_command_sequence already kept the ledger (a
-                # failed_visits or quarantined_sites row exists) — a
-                # second entry would double-count the site.
-                return
+        def on_settled(job: Any, worker_index: int, state: str,
+                       error: str) -> None:
+            # The slot remembers what its latest attempt recorded; the
+            # record is consumed here, so a lease-expiry terminal this
+            # worker's next reclaim sweep settles cannot pick it up.
             slot = self.browsers[worker_index]
-            self._record_given_up(slot.browser_id, job.site_url,
-                                  job.attempts, error)
-            if self.is_quarantined(job.site_url):
-                # The breaker tripped between the check above and the
-                # write: the quarantine row supersedes this one.
-                self._retract_failed_rows(job.site_url)
-
-        def discard_result(job: Any, worker_index: int) -> None:
-            # This attempt's verdict was voided by a lost lease and the
-            # site will be re-run: take back whatever it recorded so
-            # the site isn't double-counted. Either the visit committed
-            # (delete the duplicate-to-be copy) or retry exhaustion
-            # wrote a failed_visits row (retract it — the re-run may
-            # complete or quarantine the site instead).
-            slot = self.browsers[worker_index]
-            if slot.last_visit_id is not None:
-                self.telemetry.journal.emit(
-                    "visit_discarded", url=job.site_url,
-                    visit_id=slot.last_visit_id)
-                self._count_discarded(
-                    self.storage.delete_visit(slot.last_visit_id))
-                slot.last_visit_id = None
-                self.telemetry.metrics.counter("visits_discarded").inc()
-            if slot.last_given_up_site == job.site_url:
-                slot.last_given_up_site = None
-                self._retract_failed_rows(job.site_url)
-            if self.is_quarantined(job.site_url) \
-                    and scheduler.queue.job_status(job.job_id) \
-                    == "completed":
-                # The breaker tripped on this voided attempt after a
-                # live worker had already completed the site: the
-                # quarantine verdict is stale, take it back.
-                self._retract_stale_quarantine(job.site_url)
-
-        def record_completion(job: Any, worker_index: int) -> None:
-            if self.is_quarantined(job.site_url):
-                # A hung sibling attempt tripped the breaker while this
-                # visit was in flight — the queue just accepted the
-                # completion, so the quarantine is stale.
-                self._retract_stale_quarantine(job.site_url)
+            visit_ids = [slot.last_visit_id] \
+                if slot.last_visit_id is not None else []
+            gave_up = slot.last_given_up_site == job.site_url
+            slot.last_visit_id = slot.last_given_up_site = None
+            self.settle_visit(
+                scheduler.queue, job.job_id, job.site_url, state, error,
+                browser_id=slot.browser_id, attempts=job.attempts,
+                visit_ids=visit_ids, gave_up=gave_up,
+                quarantined=self.is_quarantined(job.site_url))
 
         try:
             return scheduler.run(
                 handler, workers=workers,
                 stop_after_jobs=stop_after_jobs,
-                on_terminal_failure=record_terminal_failure,
-                on_completed=record_completion,
-                on_discard_result=discard_result,
+                on_settled=on_settled,
                 fault_plan=self.fault_plan)
         finally:
             scheduler.close()

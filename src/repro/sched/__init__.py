@@ -4,6 +4,8 @@ The subsystem the large-scale crawls (Tranco-100K incidence study,
 Sec. 4) run on: a SQLite-backed job queue with lease-based claiming and
 deterministic retry backoff (:mod:`repro.sched.jobs`), a thread worker
 pool where each worker owns one browser slot (:mod:`repro.sched.pool`),
+the one routine that settles every job outcome against the queue
+(:mod:`repro.sched.settle`),
 the checkpoint/resume orchestration tying them together
 (:mod:`repro.sched.scheduler`), and a process-isolated worker pool with
 a supervising coordinator and single-writer storage broker
@@ -22,14 +24,7 @@ from repro.sched.jobs import (
     ReclaimResult,
     jitter_fraction,
 )
-from repro.sched.pool import (
-    CompletionHook,
-    DiscardResultHook,
-    JobFailed,
-    PoolReport,
-    TerminalFailureHook,
-    WorkerPool,
-)
+from repro.sched.pool import JobFailed, PoolReport, SettledHook, WorkerPool
 from repro.sched.procpool import (
     CrawlBroker,
     ProcessPool,
@@ -41,6 +36,7 @@ from repro.sched.procpool import (
     run_process_scan,
 )
 from repro.sched.scheduler import CrawlReport, CrawlScheduler
+from repro.sched.settle import LOST
 
 __all__ = [
     "COMPLETED",
@@ -52,11 +48,9 @@ __all__ = [
     "LeaseError",
     "ReclaimResult",
     "jitter_fraction",
-    "CompletionHook",
-    "DiscardResultHook",
     "JobFailed",
     "PoolReport",
-    "TerminalFailureHook",
+    "SettledHook",
     "WorkerPool",
     "CrawlReport",
     "CrawlScheduler",
@@ -68,4 +62,5 @@ __all__ = [
     "diff_snapshots",
     "run_process_crawl",
     "run_process_scan",
+    "LOST",
 ]

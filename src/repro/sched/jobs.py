@@ -83,8 +83,9 @@ class ReclaimResult:
     """What one :meth:`JobQueue.reclaim_expired` sweep did.
 
     ``requeued`` leases went back to ``pending``; ``failed_jobs`` had
-    no attempts left and went terminal — the pool reports those and
-    runs its terminal-failure hook so the loss ledger stays complete.
+    no attempts left and went terminal — the caller settles those
+    (:func:`repro.sched.settle.record_reclaim`) so the loss ledger
+    stays complete.
     """
 
     requeued: int = 0

@@ -1,7 +1,7 @@
 """Worker pool draining a :class:`~repro.sched.jobs.JobQueue`.
 
 Each worker owns one application slot (a browser, for crawls) and runs
-claim → handle → complete/fail until the queue drains or a stop is
+claim → handle → settle until the queue drains or a stop is
 requested. Design points:
 
 * **Single-worker runs are inline.** With ``workers == 1`` the loop
@@ -15,6 +15,11 @@ requested. Design points:
   path.
 * **Crash-safe leases.** Before claiming, workers reclaim expired
   leases, so a site stranded by a dead worker is re-run by a live one.
+* **One settle routine.** Every outcome — the handler's verdict and
+  each lease-expiry terminal a reclaim sweep finds — is booked by
+  :func:`repro.sched.settle.settle`, the same routine the process
+  brokers use; the application hears about it through one
+  ``on_settled`` hook.
 * **Virtual time.** When every runnable job is backing off and no
   leases are outstanding, the pool advances the (virtual) clock to the
   next retry time instead of spinning; with a real clock the advance is
@@ -28,36 +33,36 @@ and ``sched_jobs_*`` counters — all reconciled by ``repro stats``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.obs.telemetry import Telemetry, coalesce
-from repro.sched.jobs import Job, JobQueue, LeaseError
+from repro.sched.jobs import COMPLETED, FAILED, Job, JobQueue
+from repro.sched.settle import (
+    COMPLETE,
+    LEASE_EXPIRED,
+    RECLAIMED,
+    RETRY,
+    TERMINAL,
+    SettleTally,
+    record_reclaim,
+    settle,
+)
 
 #: handler(job, worker_index) -> result. Raise to fail the job:
 #: :class:`JobFailed` controls retry explicitly; any other exception is
 #: treated as a transient worker fault and retried with backoff.
 JobHandler = Callable[[Job, int], Any]
 
-#: on_terminal_failure(job, error, worker_index) — invoked after a job
-#: lands in the terminal ``failed`` state, so the application can keep
-#: its own loss ledger (e.g. a ``failed_visits`` row) in sync with the
-#: queue.
-TerminalFailureHook = Callable[[Job, str, int], None]
-
-#: on_completed(job, worker_index) — invoked after the queue ACCEPTED
-#: this worker's completion (a voided completion fires
-#: on_discard_result instead). The application can reconcile verdicts
-#: that arrived while the visit was in flight — e.g. retract a
-#: quarantine a hung sibling attempt tripped on the now-completed site.
-CompletionHook = Callable[[Job, int], None]
-
-#: on_discard_result(job, worker_index) — invoked when this worker's
-#: verdict on a job (completion *or* terminal failure) was voided by a
-#: lost lease: the job will be re-run by a live worker, so whatever
-#: this attempt recorded (committed visit rows, a failed_visits ledger
-#: entry) must be discarded to avoid double-counting the site.
-DiscardResultHook = Callable[[Job, int], None]
+#: on_settled(job, worker_index, state, error) — invoked after every
+#: settled outcome, so the application can keep its own records in
+#: sync with the queue. *state* is ``completed``, ``failed``,
+#: ``pending`` (sent back for retry) or ``lost``: the verdict was voided
+#: by a lost lease and a live worker re-runs the job, so whatever this
+#: attempt recorded must be discarded. A ``failed`` job a reclaim sweep
+#: found is reported on the sweeping worker's index with error
+#: ``lease_expired``.
+SettledHook = Callable[[Job, int, str, str], None]
 
 
 class JobFailed(RuntimeError):
@@ -75,22 +80,15 @@ class JobFailed(RuntimeError):
 
 
 @dataclass
-class PoolReport:
+class PoolReport(SettleTally):
     """What one :meth:`WorkerPool.run` call did."""
 
     workers: int = 0
     claims: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
     reclaimed: int = 0
     #: Injected ``worker_death`` faults: claims abandoned mid-lease.
     worker_deaths: int = 0
-    #: complete/fail calls rejected because the lease had expired (the
-    #: job was — or will be — re-run by another worker).
-    lease_lost: int = 0
     interrupted: bool = False
-    errors: List[str] = field(default_factory=list)
 
 
 class WorkerPool:
@@ -101,9 +99,7 @@ class WorkerPool:
                  telemetry: Optional[Telemetry] = None,
                  poll_seconds: float = 0.005,
                  name: str = "worker",
-                 on_terminal_failure: Optional[TerminalFailureHook] = None,
-                 on_completed: Optional[CompletionHook] = None,
-                 on_discard_result: Optional[DiscardResultHook] = None,
+                 on_settled: Optional[SettledHook] = None,
                  fault_plan: Optional[Any] = None
                  ) -> None:
         if workers < 1:
@@ -114,14 +110,11 @@ class WorkerPool:
         self.telemetry = coalesce(telemetry)
         self.poll_seconds = poll_seconds
         self.name = name
-        self.on_terminal_failure = on_terminal_failure
-        self.on_completed = on_completed
-        self.on_discard_result = on_discard_result
+        self.on_settled = on_settled
         self.fault_plan = fault_plan
         if fault_plan is not None and fault_plan.clock is None:
             fault_plan.bind_clock(queue.clock)
         self._stop = threading.Event()
-        self._state_lock = threading.Lock()
         self._report = PoolReport(workers=workers)
         self._stop_after: Optional[int] = None
 
@@ -184,28 +177,18 @@ class WorkerPool:
     def _worker_loop_bound(self, index: int, owner: str,
                            journal: Any) -> None:
         metrics = self.telemetry.metrics
+        report = self._report
         busy = metrics.gauge("sched_workers_busy")
         queue_wait = metrics.histogram("queue_wait_seconds")
         lease_duration = metrics.histogram("lease_duration_seconds")
         while not self._stop.is_set():
-            reclaim = self.queue.reclaim_expired()
-            if reclaim:
-                metrics.counter("sched_lease_reclaims").inc(
-                    reclaim.total)
-                journal.emit("lease_reclaim", owner=owner,
-                             count=reclaim.total)
-                with self._state_lock:
-                    self._report.reclaimed += reclaim.total
-                # A reclaimed job with no attempts left went terminal
-                # without ever reaching a worker's fail() — count it
-                # and run the loss-ledger hook here, or the site would
-                # vanish from the books.
-                for dead_job in reclaim.failed_jobs:
-                    journal.emit("lease_expired_terminal",
-                                 job_id=dead_job.job_id,
-                                 url=dead_job.site_url)
-                    self._count_failure(dead_job, index, "failed",
-                                        "lease_expired")
+            reclaimed = record_reclaim(
+                self.telemetry, owner, self.queue.reclaim_expired(),
+                lambda dead: self._settle(dead, index, RECLAIMED,
+                                          LEASE_EXPIRED))
+            if reclaimed:
+                with report.lock:
+                    report.reclaimed += reclaimed
                 self._publish_depth()
                 self._check_stop_after()
                 if self._stop.is_set():
@@ -226,8 +209,8 @@ class WorkerPool:
                     metrics.counter("sched_worker_deaths").inc()
                     journal.emit("worker_death", job_id=job.job_id,
                                  url=job.site_url)
-                    with self._state_lock:
-                        self._report.worker_deaths += 1
+                    with report.lock:
+                        report.worker_deaths += 1
                     self.fault_plan.burn(
                         rule.seconds or self.queue.lease_seconds + 1.0)
                     continue
@@ -236,101 +219,49 @@ class WorkerPool:
                          url=job.site_url, attempts=job.attempts)
             queue_wait.observe(job.claimed_at - job.enqueued_at)
             busy.inc()
-            with self._state_lock:
-                self._report.claims += 1
-            terminal = True
+            with report.lock:
+                report.claims += 1
             try:
                 try:
                     self.handler(job, index)
+                    outcome, error = COMPLETE, ""
                 except JobFailed as failure:
-                    terminal = self._fail_job(job, index,
-                                              failure.reason,
-                                              retry=failure.retry)
+                    outcome = RETRY if failure.retry else TERMINAL
+                    error = failure.reason
                 except Exception as exc:  # transient worker fault
-                    terminal = self._fail_job(job, index, repr(exc),
-                                              retry=True)
-                else:
-                    try:
-                        self.queue.complete(job.job_id, owner)
-                    except LeaseError:
-                        # Another worker re-leased the job: it will
-                        # produce this site's data again, so the copy
-                        # the handler just committed must go.
-                        if self.on_discard_result is not None:
-                            self.on_discard_result(job, index)
-                        terminal = self._lease_lost(job)
-                    else:
-                        metrics.counter("sched_jobs_completed").inc()
-                        journal.emit("lease_complete",
-                                     job_id=job.job_id,
-                                     url=job.site_url)
-                        with self._state_lock:
-                            self._report.completed += 1
-                        if self.on_completed is not None:
-                            self.on_completed(job, index)
+                    outcome, error = RETRY, repr(exc)
+                state = self._settle(job, index, outcome, error)
             finally:
                 busy.dec()
                 lease_duration.observe(
                     self.queue.clock.peek() - job.claimed_at)
                 self._publish_depth()
-            if terminal:
+            if state in (COMPLETED, FAILED):
                 self._check_stop_after()
 
-    def _fail_job(self, job: Job, index: int, error: str,
-                  retry: bool) -> bool:
-        try:
-            state = self.queue.fail(job.job_id, job.lease_owner, error,
-                                    retry=retry)
-        except LeaseError:
-            # The re-run owns the site's fate now: retract anything
-            # this attempt already wrote to the loss ledger.
-            if self.on_discard_result is not None:
-                self.on_discard_result(job, index)
-            return self._lease_lost(job)
-        return self._count_failure(job, index, state, error)
-
-    def _lease_lost(self, job: Job) -> bool:
-        """This worker held the job past its lease: its outcome is
-        void (the job was, or will be, re-run by a live worker)."""
-        self.telemetry.metrics.counter("sched_leases_lost").inc()
-        self.telemetry.journal.emit("lease_lost", job_id=job.job_id,
-                                    url=job.site_url)
-        with self._state_lock:
-            self._report.lease_lost += 1
-        return False
+    def _settle(self, job: Job, index: int, outcome: str,
+                error: str) -> str:
+        state = settle(self.queue, self.telemetry, self._report,
+                       job.job_id, job.site_url, job.lease_owner,
+                       outcome, error)
+        if self.on_settled is not None:
+            try:
+                self.on_settled(job, index, state, error)
+            except Exception as hook_exc:
+                # A broken application hook must not kill the worker
+                # loop: the queue's verdict already stands.
+                with self._report.lock:
+                    self._report.errors.append(
+                        f"on_settled: {hook_exc!r}")
+        return state
 
     def _check_stop_after(self) -> None:
         if self._stop_after is None:
             return
-        with self._state_lock:
+        with self._report.lock:
             done = self._report.completed + self._report.failed
         if done >= self._stop_after:
             self._stop.set()
-
-    def _count_failure(self, job: Job, index: int, state: str,
-                       error: str) -> bool:
-        """Update counters after ``fail``; True when terminal."""
-        metrics = self.telemetry.metrics
-        self.telemetry.journal.emit("lease_fail", job_id=job.job_id,
-                                    url=job.site_url, state=state,
-                                    error=error)
-        if state == "failed":
-            metrics.counter("sched_jobs_failed").inc()
-            with self._state_lock:
-                self._report.failed += 1
-                self._report.errors.append(error)
-            if self.on_terminal_failure is not None:
-                try:
-                    self.on_terminal_failure(job, error, index)
-                except Exception as hook_exc:
-                    with self._state_lock:
-                        self._report.errors.append(
-                            f"on_terminal_failure: {hook_exc!r}")
-            return True
-        metrics.counter("sched_jobs_retried").inc()
-        with self._state_lock:
-            self._report.retried += 1
-        return False
 
     # ------------------------------------------------------------------
     def _idle_wait(self) -> bool:

@@ -53,7 +53,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.clock import WallClock
 from repro.obs.telemetry import Telemetry, coalesce
-from repro.sched.jobs import Job, JobQueue, LeaseError
+from repro.sched.jobs import FAILED, Job, JobQueue
+from repro.sched.settle import (
+    COMPLETE,
+    LEASE_EXPIRED,
+    LOST,
+    RECLAIMED,
+    RETRY,
+    TERMINAL,
+    SettleTally,
+    record_reclaim,
+    settle,
+)
 
 #: Real seconds a worker may stay silent before the supervisor SIGKILLs
 #: it. Generous by default — worker start-up imports and world building
@@ -295,6 +306,67 @@ class _Heartbeat:
                           "metrics": self.telemetry.metrics.snapshot()})
 
 
+def _serve_claims(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
+                  journal: Any, faults: _ProcFaults,
+                  run_job: Callable[[Job, _Heartbeat], Dict[str, Any]]
+                  ) -> None:
+    """The worker side of the pool: claim jobs from the shared queue
+    until it drains or the coordinator stops us, and ship each job's
+    resolution — ``kind``, ``error`` and the payload *run_job*
+    returns with them — to the coordinator."""
+    queue = _open_worker_queue(spec)
+    wall = queue.clock
+    journal.bind_worker(spec.owner)
+    metrics = telemetry.metrics
+    busy = metrics.gauge("sched_workers_busy")
+    queue_wait = metrics.histogram("queue_wait_seconds")
+    lease_duration = metrics.histogram("lease_duration_seconds")
+    heartbeat = _Heartbeat(conn, telemetry, spec.heartbeat_seconds)
+    _send(conn, {"type": "ready", "owner": spec.owner,
+                 "pid": os.getpid()})
+    claimed = 0
+    try:
+        while True:
+            if _poll_stop(conn) or (spec.claim_budget is not None
+                                    and claimed >= spec.claim_budget):
+                _send(conn, {"type": "stopped",
+                             "metrics": metrics.snapshot()})
+                return
+            heartbeat.beat()
+            job = queue.claim(spec.owner)
+            if job is None:
+                counts = queue.counts()
+                if counts.get("pending", 0) == 0 \
+                        and counts.get("leased", 0) == 0:
+                    _send(conn, {"type": "drained",
+                                 "metrics": metrics.snapshot()})
+                    return
+                time.sleep(spec.poll_seconds)
+                continue
+            claimed += 1
+            faults.check("proc.claim", job.site_url)
+            journal.emit("lease_claim", job_id=job.job_id,
+                         url=job.site_url, attempts=job.attempts)
+            metrics.counter("sched_jobs_claimed").inc()
+            queue_wait.observe(max(0.0, job.claimed_at - job.enqueued_at))
+            busy.inc()
+            try:
+                resolution = run_job(job, heartbeat)
+            finally:
+                busy.dec()
+                lease_duration.observe(max(0.0, wall.peek()
+                                           - job.claimed_at))
+            faults.check("proc.envelope", job.site_url)
+            _send(conn, {
+                "type": "resolution", "job_id": job.job_id,
+                "owner": spec.owner, "site_url": job.site_url,
+                "attempts": job.attempts,
+                "metrics": metrics.snapshot(), **resolution})
+    finally:
+        journal.unbind()
+        queue.close()
+
+
 def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                       journal: Any) -> None:
     from repro.openwpm.task_manager import TaskManager
@@ -322,15 +394,7 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
         [spec.browser_params], network, telemetry=telemetry)
     faults = _ProcFaults(manager.fault_plan, conn, journal)
     faults.install_reporting()
-
-    queue = _open_worker_queue(spec)
-    wall = queue.clock
-    journal.bind_worker(spec.owner)
-    tm = telemetry
-    busy = tm.metrics.gauge("sched_workers_busy")
-    queue_wait = tm.metrics.histogram("sched_queue_wait_seconds")
-    lease_duration = tm.metrics.histogram("sched_lease_seconds")
-    heartbeat = _Heartbeat(conn, telemetry, spec.heartbeat_seconds)
+    storage = manager.storage
 
     # Per-job export cursors into the worker-local database: everything
     # past a cursor belongs to the job that just ran (including the
@@ -340,9 +404,20 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     ledger_cursors = {"crash_history": 0, "failed_visits": 0,
                       "quarantined_sites": 0}
 
-    def export_envelope() -> Dict[str, Any]:
+    def run_job(job: Job, heartbeat: _Heartbeat) -> Dict[str, Any]:
         nonlocal visit_cursor, content_cursor
-        storage = manager.storage
+        try:
+            result = _run_crawl_job(manager, faults, heartbeat, job)
+            if result is None:
+                if manager.is_quarantined(job.site_url):
+                    raise JobFailed("quarantined", retry=False)
+                raise JobFailed("failure_limit", retry=False)
+            kind, error = COMPLETE, ""
+        except JobFailed as failure:
+            kind = RETRY if failure.retry else TERMINAL
+            error = failure.reason
+        except Exception as exc:  # noqa: BLE001 - mirrors pool
+            kind, error = RETRY, repr(exc)
         visits = []
         for visit_id in storage.visit_ids_since(visit_cursor):
             visits.append(storage.export_visit(visit_id))
@@ -354,72 +429,18 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
             ledger_cursors[table], rows = \
                 storage.export_ledger_rows(table, ledger_cursors[table])
             ledger[table] = rows
-        return {"visits": visits, "content": content, "ledger": ledger}
-
-    _send(conn, {"type": "ready", "owner": spec.owner,
-                 "pid": os.getpid()})
-    claimed = 0
-    try:
-        while True:
-            if _poll_stop(conn) or (spec.claim_budget is not None
-                                    and claimed >= spec.claim_budget):
-                _send(conn, {"type": "stopped",
-                             "metrics": tm.metrics.snapshot()})
-                return
-            heartbeat.beat()
-            job = queue.claim(spec.owner)
-            if job is None:
-                counts = queue.counts()
-                if counts.get("pending", 0) == 0 \
-                        and counts.get("leased", 0) == 0:
-                    _send(conn, {"type": "drained",
-                                 "metrics": tm.metrics.snapshot()})
-                    return
-                time.sleep(spec.poll_seconds)
-                continue
-            claimed += 1
-            faults.check("proc.claim", job.site_url)
-            journal.emit("lease_claim", job_id=job.job_id,
-                         url=job.site_url, attempts=job.attempts)
-            tm.metrics.counter("sched_jobs_claimed").inc()
-            queue_wait.observe(max(0.0, job.claimed_at
-                                   - job.enqueued_at))
-            busy.inc()
-            resolution: Dict[str, Any]
-            try:
-                result = _run_crawl_job(spec, manager, faults, heartbeat,
-                                        job)
-                if result is None:
-                    if manager.is_quarantined(job.site_url):
-                        raise JobFailed("quarantined", retry=False)
-                    raise JobFailed("failure_limit", retry=False)
-                resolution = {"kind": "complete", "error": ""}
-            except JobFailed as failure:
-                resolution = {"kind": "terminal" if not failure.retry
-                              else "retry", "error": failure.reason}
-            except Exception as exc:  # noqa: BLE001 - mirrors pool
-                resolution = {"kind": "retry", "error": repr(exc)}
-            finally:
-                busy.dec()
-                lease_duration.observe(max(0.0, wall.peek()
-                                           - job.claimed_at))
-            faults.check("proc.envelope", job.site_url)
-            envelope = export_envelope()
-            _send(conn, {
-                "type": "resolution", "job_id": job.job_id,
-                "owner": spec.owner, "site_url": job.site_url,
-                "attempts": job.attempts,
+        return {"kind": kind, "error": error,
                 "browser_id": spec.browser_params.browser_id,
                 "quarantined": manager.is_quarantined(job.site_url),
-                "metrics": tm.metrics.snapshot(), **resolution,
-                **envelope})
+                "visits": visits, "content": content, "ledger": ledger}
+
+    try:
+        _serve_claims(spec, conn, telemetry, journal, faults, run_job)
     finally:
-        journal.unbind()
-        queue.close()
-        manager.storage.close()
+        storage.close()
 
 
-def _run_crawl_job(spec: WorkerSpec, manager: Any, faults: _ProcFaults,
+def _run_crawl_job(manager: Any, faults: _ProcFaults,
                    heartbeat: _Heartbeat, job: Job) -> Any:
     from repro.openwpm.task_manager import CommandSequence
 
@@ -454,77 +475,38 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     faults.install_reporting()
     corpus = ScriptCorpus(":memory:")
     dataset = ScanDataset(corpus=corpus)
-    queue = _open_worker_queue(spec)
-    journal.bind_worker(spec.owner)
-    tm = telemetry
-    busy = tm.metrics.gauge("sched_workers_busy")
-    heartbeat = _Heartbeat(conn, telemetry, spec.heartbeat_seconds)
 
-    _send(conn, {"type": "ready", "owner": spec.owner,
-                 "pid": os.getpid()})
-    claimed = 0
+    def run_job(job: Job, heartbeat: _Heartbeat) -> Dict[str, Any]:
+        batch = corpus.site_batch(job.site_url)
+        try:
+            pipeline._scan_site(job.site_url, dataset,
+                                spec.scan_visit_subpages, batch)
+            batch.commit()
+            heartbeat.beat(force=True)
+            evidences = dataset.evidence[job.site_url]
+            digests = {digest for evidence in evidences
+                       for _, digest in evidence.scripts}
+            resolution = {
+                "kind": COMPLETE, "error": "",
+                "evidences": [evidence_to_dict(e) for e in evidences],
+                "bodies": {d: corpus.source(d) for d in digests},
+                "analysis": [row for row
+                             in corpus.export_analysis_cache()
+                             if row[0] in digests]}
+        except Exception as exc:  # noqa: BLE001 - mirrors pool
+            corpus.drop_staged(batch.token)
+            abandon = getattr(web.network, "abandon_site", None)
+            if abandon is not None:
+                abandon()
+            resolution = {"kind": RETRY, "error": repr(exc)}
+        # Refresh the engine-cache gauges so the shipped snapshot
+        # carries them (the inline path exports these at run end).
+        export_cache_metrics(telemetry.metrics)
+        return resolution
+
     try:
-        while True:
-            if _poll_stop(conn) or (spec.claim_budget is not None
-                                    and claimed >= spec.claim_budget):
-                _send(conn, {"type": "stopped",
-                             "metrics": tm.metrics.snapshot()})
-                return
-            heartbeat.beat()
-            job = queue.claim(spec.owner)
-            if job is None:
-                counts = queue.counts()
-                if counts.get("pending", 0) == 0 \
-                        and counts.get("leased", 0) == 0:
-                    _send(conn, {"type": "drained",
-                                 "metrics": tm.metrics.snapshot()})
-                    return
-                time.sleep(spec.poll_seconds)
-                continue
-            claimed += 1
-            faults.check("proc.claim", job.site_url)
-            journal.emit("lease_claim", job_id=job.job_id,
-                         url=job.site_url, attempts=job.attempts)
-            tm.metrics.counter("sched_jobs_claimed").inc()
-            busy.inc()
-            resolution: Dict[str, Any] = {}
-            batch = corpus.site_batch(job.site_url)
-            try:
-                pipeline._scan_site(job.site_url, dataset,
-                                    spec.scan_visit_subpages, batch)
-                batch.commit()
-                heartbeat.beat(force=True)
-                evidences = dataset.evidence[job.site_url]
-                digests = {digest for evidence in evidences
-                           for _, digest in evidence.scripts}
-                resolution = {
-                    "kind": "complete", "error": "",
-                    "evidences": [evidence_to_dict(e)
-                                  for e in evidences],
-                    "bodies": {d: corpus.source(d) for d in digests},
-                    "analysis": [row for row
-                                 in corpus.export_analysis_cache()
-                                 if row[0] in digests]}
-            except Exception as exc:  # noqa: BLE001 - mirrors pool
-                corpus.drop_staged(batch.token)
-                abandon = getattr(web.network, "abandon_site", None)
-                if abandon is not None:
-                    abandon()
-                resolution = {"kind": "retry", "error": repr(exc)}
-            finally:
-                busy.dec()
-            faults.check("proc.envelope", job.site_url)
-            # Refresh the engine-cache gauges so the shipped snapshot
-            # carries them (the inline path exports these at run end).
-            export_cache_metrics(tm.metrics)
-            _send(conn, {
-                "type": "resolution", "job_id": job.job_id,
-                "owner": spec.owner, "site_url": job.site_url,
-                "attempts": job.attempts,
-                "metrics": tm.metrics.snapshot(), **resolution})
+        _serve_claims(spec, conn, telemetry, journal, faults, run_job)
     finally:
-        journal.unbind()
-        queue.close()
         corpus.close()
 
 
@@ -611,30 +593,61 @@ class _Finalizer:
 
 
 # ----------------------------------------------------------------------
-# Coordinator side: the crawl storage broker
+# Coordinator side: the brokers
 # ----------------------------------------------------------------------
-class CrawlBroker:
-    """The single writer of the crawl database.
+class _Broker:
+    """Settles shipped resolutions against the queue, finals in job-id
+    order. Subclasses define ``_stage(message)``, which lands a
+    resolution's payload before the queue verdict, and
+    ``_settled(message, state, staged)``, which keeps or voids it."""
 
-    Reimplements the thread path's ``record_terminal_failure`` /
-    ``discard_result`` / ``record_completion`` hooks against shipped
-    envelopes instead of worker-local slot state."""
-
-    def __init__(self, manager: Any, queue: JobQueue,
-                 telemetry: Telemetry) -> None:
-        self.manager = manager
-        self.storage = manager.storage
+    def __init__(self, queue: JobQueue, telemetry: Telemetry) -> None:
         self.queue = queue
         self.tm = coalesce(telemetry)
         self.finalizer = _Finalizer(queue)
-        self.completed = 0
-        self.failed = 0
-        self.retried = 0
-        self.lease_lost = 0
-        self.errors: List[str] = []
+        self.tally = SettleTally()
 
-    # -- envelope data -------------------------------------------------
-    def _import_envelope(self, message: Dict[str, Any]) -> List[int]:
+    def handle_resolution(self, message: Dict[str, Any]) -> None:
+        if message["kind"] != RETRY:
+            self.finalizer.submit(
+                message["job_id"], message["owner"],
+                lambda: self._apply(message) != LOST)
+        elif self._apply(message) == FAILED:
+            # Retry exhaustion: terminal outside the ordered path.
+            self.finalizer.mark_terminal(message["job_id"])
+
+    def finalize_reclaimed(self, job: Job) -> None:
+        """Order the ledger entry of a job a reclaim made terminal."""
+        message = {"job_id": job.job_id, "site_url": job.site_url,
+                   "owner": "", "attempts": job.attempts,
+                   "kind": RECLAIMED, "error": LEASE_EXPIRED}
+        self.finalizer.submit(job.job_id, "",
+                              lambda: self._apply(message) != LOST)
+
+    def _apply(self, message: Dict[str, Any]) -> str:
+        staged = self._stage(message)
+        state = settle(self.queue, self.tm, self.tally, message["job_id"],
+                       message["site_url"], message["owner"],
+                       message["kind"], message["error"])
+        self._settled(message, state, staged)
+        return state
+
+
+class CrawlBroker(_Broker):
+    """The single writer of the crawl database.
+
+    Imports each envelope's records, then lets the task manager's
+    :meth:`~repro.openwpm.task_manager.TaskManager.settle_visit` — the
+    same ledger rules the thread path runs — keep or void them."""
+
+    def __init__(self, manager: Any, queue: JobQueue,
+                 telemetry: Telemetry) -> None:
+        super().__init__(queue, telemetry)
+        self.manager = manager
+        self.storage = manager.storage
+
+    def _stage(self, message: Dict[str, Any]) -> List[int]:
+        """Import the envelope; returns the coordinator visit ids."""
         id_map: Dict[int, int] = {}
         imported: List[int] = []
         for visit in message.get("visits", []):
@@ -660,151 +673,25 @@ class CrawlBroker:
                 self.manager.failed_sites.append(row[1])
         return imported
 
-    def _discard(self, message: Dict[str, Any],
-                 imported: List[int]) -> None:
-        """Void an envelope whose verdict lost the lease race."""
-        url = message["site_url"]
-        journal = self.tm.journal
-        for visit_id in imported:
-            journal.emit("visit_discarded", url=url, visit_id=visit_id)
-            self.manager._count_discarded(
-                self.storage.delete_visit(visit_id))
-            self.tm.metrics.counter("visits_discarded").inc()
-        if message.get("ledger", {}).get("failed_visits"):
-            self.manager._retract_failed_rows(url)
-        if message.get("quarantined") \
-                and self.queue.job_status(message["job_id"]) \
-                == "completed":
-            self.manager._retract_stale_quarantine(url)
-
-    def _lost(self, message: Dict[str, Any]) -> None:
-        self.tm.journal.emit("lease_lost", job_id=message["job_id"],
-                             url=message["site_url"])
-        self.tm.metrics.counter("sched_leases_lost").inc()
-        self.lease_lost += 1
-
-    # -- resolutions ---------------------------------------------------
-    def handle_resolution(self, message: Dict[str, Any]) -> None:
-        kind = message["kind"]
-        if kind == "retry":
-            self._apply_retry(message)
-        elif kind == "terminal":
-            self.finalizer.submit(
-                message["job_id"], message["owner"],
-                lambda: self._apply_terminal(message))
-        else:
-            self.finalizer.submit(
-                message["job_id"], message["owner"],
-                lambda: self._apply_complete(message))
-
-    def _apply_retry(self, message: Dict[str, Any]) -> None:
-        # Crash residue of a to-be-retried attempt lands immediately
-        # (its inline position is claim time, not completion time).
-        imported = self._import_envelope(message)
-        try:
-            state = self.queue.fail(
-                message["job_id"], message["owner"],
-                error=message["error"], retry=True)
-        except LeaseError:
-            self._lost(message)
-            self._discard(message, imported)
-            return
-        self.tm.journal.emit("lease_fail", job_id=message["job_id"],
-                             url=message["site_url"], state=state,
-                             error=message["error"])
-        if state == "failed":
-            self.tm.metrics.counter("sched_jobs_failed").inc()
-            self.failed += 1
-            self.errors.append(
-                f"{message['site_url']}: {message['error']}")
-            self._record_terminal(message)
-            self.finalizer.mark_terminal(message["job_id"])
-        else:
-            self.tm.metrics.counter("sched_jobs_retried").inc()
-            self.retried += 1
-
-    def _record_terminal(self, message: Dict[str, Any]) -> None:
-        """Mirror of ``record_terminal_failure``: ledger the loss
-        unless the worker already did (failure_limit/quarantine)."""
-        error = message["error"]
-        if error in ("failure_limit", "quarantined") \
-                or message.get("quarantined"):
-            return
-        self.manager._record_given_up(
-            message.get("browser_id", 0), message["site_url"],
-            message["attempts"], error)
-
-    def _apply_terminal(self, message: Dict[str, Any]) -> bool:
-        imported = self._import_envelope(message)
-        try:
-            state = self.queue.fail(
-                message["job_id"], message["owner"],
-                error=message["error"], retry=False)
-        except LeaseError:
-            self._lost(message)
-            self._discard(message, imported)
-            return False
-        self.tm.journal.emit("lease_fail", job_id=message["job_id"],
-                             url=message["site_url"], state=state,
-                             error=message["error"])
-        self.tm.metrics.counter("sched_jobs_failed").inc()
-        self.failed += 1
-        self.errors.append(f"{message['site_url']}: {message['error']}")
-        self._record_terminal(message)
-        return True
-
-    def _apply_complete(self, message: Dict[str, Any]) -> bool:
-        imported = self._import_envelope(message)
-        try:
-            self.queue.complete(message["job_id"], message["owner"])
-        except LeaseError:
-            self._lost(message)
-            self._discard(message, imported)
-            return False
-        self.tm.journal.emit("lease_complete",
-                             job_id=message["job_id"],
-                             url=message["site_url"])
-        self.tm.metrics.counter("sched_jobs_completed").inc()
-        self.completed += 1
-        if message.get("quarantined"):
-            # A hung sibling attempt tripped the worker's breaker while
-            # this visit was in flight; the queue just accepted the
-            # completion, so the shipped quarantine row is stale.
-            self.manager._retract_stale_quarantine(message["site_url"])
-        return True
-
-    # -- out-of-band terminals (reclaims / dead-owner releases) --------
-    def finalize_reclaimed(self, job: Job) -> None:
-        self.tm.journal.emit("lease_expired_terminal",
-                             job_id=job.job_id, url=job.site_url)
-
-        def apply() -> bool:
-            self.tm.journal.emit("lease_fail", job_id=job.job_id,
-                                 url=job.site_url, state="failed",
-                                 error="lease_expired")
-            self.tm.metrics.counter("sched_jobs_failed").inc()
-            self.failed += 1
-            self.errors.append(f"{job.site_url}: lease_expired")
-            self.manager._record_given_up(0, job.site_url,
-                                          job.attempts, "lease_expired")
-            return True
-
-        self.finalizer.submit(job.job_id, "", apply)
+    def _settled(self, message: Dict[str, Any], state: str,
+                 staged: List[int]) -> None:
+        self.manager.settle_visit(
+            self.queue, message["job_id"], message["site_url"], state,
+            message["error"], browser_id=message.get("browser_id", 0),
+            attempts=message["attempts"], visit_ids=staged,
+            gave_up=bool(message.get("ledger", {}).get("failed_visits")),
+            quarantined=bool(message.get("quarantined")))
 
 
 # ----------------------------------------------------------------------
 # Coordinator side: supervision
 # ----------------------------------------------------------------------
 @dataclass
-class ProcPoolReport:
+class ProcPoolReport(SettleTally):
     """Outcome of one process-pool run."""
 
     workers: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
     reclaimed: int = 0
-    lease_lost: int = 0
     worker_deaths: int = 0
     workers_spawned: int = 0
     workers_killed: int = 0
@@ -812,7 +699,6 @@ class ProcPoolReport:
     heartbeats_missed: int = 0
     pool_shrinks: int = 0
     interrupted: bool = False
-    errors: List[str] = field(default_factory=list)
 
 
 class _Slot:
@@ -1014,15 +900,9 @@ class ProcessPool:
                              owner=slot.owner, exitcode=exitcode,
                              deaths=slot.deaths)
         self.broker.finalizer.force_owner(slot.owner)
-        released = self.queue.release_owner(slot.owner)
-        if released:
-            self.report.reclaimed += released.total
-            self.tm.metrics.counter("sched_lease_reclaims").inc(
-                released.total)
-            self.tm.journal.emit("lease_reclaim", owner=slot.owner,
-                                 count=released.total)
-            for job in released.failed_jobs:
-                self.broker.finalize_reclaimed(job)
+        self.report.reclaimed += record_reclaim(
+            self.tm, slot.owner, self.queue.release_owner(slot.owner),
+            self.broker.finalize_reclaimed)
         if self._stop_sent:
             return
         if slot.deaths > self.respawn_limit:
@@ -1072,15 +952,9 @@ class ProcessPool:
         if now - self._last_reclaim < self.reclaim_interval:
             return
         self._last_reclaim = now
-        reclaimed = self.queue.reclaim_expired()
-        if reclaimed:
-            self.report.reclaimed += reclaimed.total
-            self.tm.metrics.counter("sched_lease_reclaims").inc(
-                reclaimed.total)
-            self.tm.journal.emit("lease_reclaim", owner="supervisor",
-                                 count=reclaimed.total)
-            for job in reclaimed.failed_jobs:
-                self.broker.finalize_reclaimed(job)
+        self.report.reclaimed += record_reclaim(
+            self.tm, "supervisor", self.queue.reclaim_expired(),
+            self.broker.finalize_reclaimed)
 
     def _publish_depth(self) -> None:
         for state, value in self.queue.counts().items():
@@ -1116,8 +990,8 @@ class ProcessPool:
                 self._try_respawns()
                 self._reclaim_expired()
                 if stop_after_jobs is not None and not self._stop_sent \
-                        and self.broker.completed + self.broker.failed \
-                        >= stop_after_jobs:
+                        and self.broker.tally.completed \
+                        + self.broker.tally.failed >= stop_after_jobs:
                     self._broadcast_stop()
                 if not any(slot.live or slot.active
                            for slot in self.slots):
@@ -1142,11 +1016,12 @@ class ProcessPool:
         # unresolved jobs stay pending/leased and --resume re-runs them.
         self.broker.finalizer.flush()
         self._publish_depth()
-        self.report.completed = self.broker.completed
-        self.report.failed = self.broker.failed
-        self.report.retried = self.broker.retried
-        self.report.lease_lost = self.broker.lease_lost
-        self.report.errors.extend(self.broker.errors)
+        tally = self.broker.tally
+        self.report.completed = tally.completed
+        self.report.failed = tally.failed
+        self.report.retried = tally.retried
+        self.report.lease_lost = tally.lease_lost
+        self.report.errors.extend(tally.errors)
         outstanding = self.queue.outstanding()
         if outstanding and not self.report.interrupted:
             # Every slot retired or stopped with work left: the crawl
@@ -1162,70 +1037,30 @@ class ProcessPool:
 # ----------------------------------------------------------------------
 # Coordinator side: the scan broker
 # ----------------------------------------------------------------------
-class ScanBroker:
+class ScanBroker(_Broker):
     """Single writer of the scan corpus, sidecar store, and dataset."""
 
     def __init__(self, queue: JobQueue, corpus: Any, store: Any,
                  dataset: Any, telemetry: Telemetry) -> None:
-        self.queue = queue
+        super().__init__(queue, telemetry)
         self.corpus = corpus
         self.store = store
         self.dataset = dataset
-        self.tm = coalesce(telemetry)
-        self.finalizer = _Finalizer(queue)
-        self.completed = 0
-        self.failed = 0
-        self.retried = 0
-        self.lease_lost = 0
-        self.errors: List[str] = []
 
-    def handle_resolution(self, message: Dict[str, Any]) -> None:
-        if message["kind"] == "complete":
-            self.finalizer.submit(
-                message["job_id"], message["owner"],
-                lambda: self._apply_complete(message))
-        else:
-            self._apply_retry(message)
-
-    def _apply_retry(self, message: Dict[str, Any]) -> None:
-        try:
-            state = self.queue.fail(
-                message["job_id"], message["owner"],
-                error=message["error"], retry=True)
-        except LeaseError:
-            self._lost(message)
-            return
-        self.tm.journal.emit("lease_fail", job_id=message["job_id"],
-                             url=message["site_url"], state=state,
-                             error=message["error"])
-        if state == "failed":
-            self.tm.metrics.counter("sched_jobs_failed").inc()
-            self.failed += 1
-            self.errors.append(
-                f"{message['site_url']}: {message['error']}")
-            self.finalizer.mark_terminal(message["job_id"])
-        else:
-            self.tm.metrics.counter("sched_jobs_retried").inc()
-            self.retried += 1
-
-    def _lost(self, message: Dict[str, Any]) -> None:
-        self.tm.journal.emit("lease_lost", job_id=message["job_id"],
-                             url=message["site_url"])
-        self.tm.metrics.counter("sched_leases_lost").inc()
-        self.lease_lost += 1
-
-    def _apply_complete(self, message: Dict[str, Any]) -> bool:
-        from repro.core.scan.classify import classify_site
+    def _stage(self, message: Dict[str, Any]) -> Any:
+        """Stage a completed site's corpus rows and persist its
+        evidence; returns ``(batch token, evidences)``."""
+        if message["kind"] != COMPLETE:
+            return None
         from repro.core.scan.results_store import evidence_from_dict
 
-        domain = message["site_url"]
         bodies = message["bodies"]
         evidences = [evidence_from_dict(item)
                      for item in message["evidences"]]
         # Stage through the same batch machinery the inline handler
         # uses, in the same per-visit order, so occurrence rows and
         # refcounts come out identical to a 1-worker run.
-        batch = self.corpus.site_batch(domain)
+        batch = self.corpus.site_batch(message["site_url"])
         for evidence in evidences:
             for script_url, digest in evidence.scripts:
                 batch.add(script_url, bodies[digest])
@@ -1236,18 +1071,21 @@ class ScanBroker:
         # Persist before completing, so 'completed in queue' always
         # implies 'evidence on disk' — same invariant as the inline
         # handler.
-        self.store.save(domain, evidences)
-        try:
-            self.queue.complete(message["job_id"], message["owner"])
-        except LeaseError:
-            self.corpus.drop_staged(batch.token)
-            self._lost(message)
-            return False
-        self.corpus.promote(domain, batch.token)
-        self.tm.journal.emit("lease_complete",
-                             job_id=message["job_id"], url=domain)
-        self.tm.metrics.counter("sched_jobs_completed").inc()
-        self.completed += 1
+        self.store.save(message["site_url"], evidences)
+        return batch.token, evidences
+
+    def _settled(self, message: Dict[str, Any], state: str,
+                 staged: Any) -> None:
+        if staged is None:
+            return
+        token, evidences = staged
+        if state == LOST:
+            self.corpus.drop_staged(token)
+            return
+        from repro.core.scan.classify import classify_site
+
+        domain = message["site_url"]
+        self.corpus.promote(domain, token)
         dataset = self.dataset
         dataset.front_only[domain] = classify_site(
             domain, evidences[:1], corpus=self.corpus)
@@ -1259,22 +1097,6 @@ class ScanBroker:
         for evidence in evidences:
             for _, digest in evidence.scripts:
                 dataset.unique_scripts.add(digest)
-        return True
-
-    def finalize_reclaimed(self, job: Job) -> None:
-        self.tm.journal.emit("lease_expired_terminal",
-                             job_id=job.job_id, url=job.site_url)
-
-        def apply() -> bool:
-            self.tm.journal.emit("lease_fail", job_id=job.job_id,
-                                 url=job.site_url, state="failed",
-                                 error="lease_expired")
-            self.tm.metrics.counter("sched_jobs_failed").inc()
-            self.failed += 1
-            self.errors.append(f"{job.site_url}: lease_expired")
-            return True
-
-        self.finalizer.submit(job.job_id, "", apply)
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.sched.jobs import JobQueue
-from repro.sched.pool import (
-    CompletionHook,
-    DiscardResultHook,
-    JobHandler,
-    PoolReport,
-    TerminalFailureHook,
-    WorkerPool,
-)
+from repro.sched.pool import JobHandler, PoolReport, SettledHook, WorkerPool
 
 
 @dataclass
@@ -107,18 +100,14 @@ class CrawlScheduler:
     def run(self, handler: JobHandler, workers: int = 1,
             stop_after_jobs: Optional[int] = None,
             poll_seconds: float = 0.005,
-            on_terminal_failure: Optional[TerminalFailureHook] = None,
-            on_completed: Optional[CompletionHook] = None,
-            on_discard_result: Optional[DiscardResultHook] = None,
+            on_settled: Optional[SettledHook] = None,
             fault_plan: Optional[object] = None
             ) -> CrawlReport:
         """Drain the queue through *handler* on N workers."""
         self._pool = WorkerPool(self.queue, handler, workers=workers,
                                 telemetry=self.telemetry,
                                 poll_seconds=poll_seconds,
-                                on_terminal_failure=on_terminal_failure,
-                                on_completed=on_completed,
-                                on_discard_result=on_discard_result,
+                                on_settled=on_settled,
                                 fault_plan=fault_plan)
         pool_report: PoolReport = self._pool.run(
             stop_after_jobs=stop_after_jobs)

@@ -133,6 +133,21 @@ class TestScanProcEquivalence:
             inline.corpus.close()
             procs.corpus.close()
 
+    def test_proc_scan_records_queue_histograms(self, tmp_path):
+        from repro.core.scan import ScanPipeline
+        from repro.web import build_world
+
+        telemetry = Telemetry()
+        dataset = ScanPipeline(
+            build_world(site_count=4, seed=5), client_id="proc-test",
+            telemetry=telemetry).run(
+            visit_subpages=False, worker_procs=2, world_seed=5,
+            queue_path=str(tmp_path / "hist.queue"))
+        dataset.corpus.close()
+        metrics = telemetry.metrics
+        for name in ("queue_wait_seconds", "lease_duration_seconds"):
+            assert metrics.histogram(name).count == 4, name
+
 
 # ---------------------------------------------------------------------------
 # Fault injection at the proc.* choke points
@@ -303,6 +318,25 @@ class TestStatsSupervisionSection:
         text = render_crawl_report(report)
         assert "Process supervision" in text
         assert "workers spawned" in text
+
+    def test_proc_crawl_reports_queue_histograms(self, tmp_path):
+        """Process workers record the same queue-wait and lease
+        histograms the inline pool does, so `repro stats` shows them."""
+        queue_path = str(tmp_path / "hist.queue")
+        result = run_telemetry_crawl(
+            site_count=6, seed=7, database_path=str(tmp_path / "hist.db"),
+            crash_probability=0.0, browsers=1, web="lab",
+            worker_procs=2, queue_path=queue_path)
+        queue = JobQueue(queue_path)
+        try:
+            report = build_crawl_report(result.storage, queue=queue)
+        finally:
+            queue.close()
+            result.close()
+        for name in ("queue_wait_seconds", "lease_duration_seconds"):
+            assert report["scheduler"][name]["count"] == 6, name
+        text = render_crawl_report(report)
+        assert "queue wait" in text and "lease duration" in text
 
     def test_section_absent_without_proc_metrics(self):
         result = run_telemetry_crawl(site_count=3, browsers=1,

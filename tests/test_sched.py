@@ -8,6 +8,7 @@ from repro.sched import (
     COMPLETED,
     FAILED,
     LEASED,
+    LOST,
     PENDING,
     CrawlScheduler,
     JobFailed,
@@ -304,7 +305,7 @@ class TestWorkerPool:
         assert report.interrupted
         assert queue.counts()[PENDING] == len(SITES) - 2
 
-    def test_on_terminal_failure_hook_fires_once(self):
+    def test_on_settled_hook_fires_once_per_attempt(self):
         queue = JobQueue(max_attempts=2, backoff_base=0.01)
         queue.enqueue(SITES[:1])
         seen = []
@@ -314,29 +315,46 @@ class TestWorkerPool:
 
         report = WorkerPool(
             queue, handler, workers=1,
-            on_terminal_failure=lambda job, error, index:
-            seen.append((job.site_url, error, index))).run()
+            on_settled=lambda job, index, state, error:
+            seen.append((job.site_url, state, error, index))).run()
         assert report.retried == 1
         assert report.failed == 1
-        # The hook fires only on the terminal transition, not retries.
-        assert len(seen) == 1
-        assert seen[0][0] == SITES[0]
-        assert "boom" in seen[0][1]
+        # One call per settled attempt: the retry, then the terminal.
+        assert [state for _, state, _, _ in seen] == [PENDING, FAILED]
+        assert all(url == SITES[0] and "boom" in error
+                   for url, _, error, _ in seen)
+        assert report.errors == [f"{SITES[0]}: {seen[-1][2]}"]
 
-    def test_on_terminal_failure_hook_errors_are_contained(self):
-        queue = JobQueue(max_attempts=1)
+    @pytest.mark.parametrize("state", [COMPLETED, FAILED, LOST])
+    def test_on_settled_hook_errors_are_contained(self, state):
+        queue = JobQueue(max_attempts=2)
         queue.enqueue(SITES[:2])
+        stolen = []
 
         def handler(job, index):
-            raise JobFailed("nope", retry=False)
+            if state == FAILED:
+                raise JobFailed("nope", retry=False)
+            if state == LOST and not stolen:
+                # Hand the lease to an intruder, already expired: this
+                # worker's completion loses and a reclaim re-runs it.
+                stolen.append(job.job_id)
+                with queue._lock:
+                    queue._conn.execute(
+                        "UPDATE jobs SET lease_owner = 'intruder', "
+                        "lease_expires_at = -1 WHERE job_id = ?",
+                        (job.job_id,))
+                    queue._conn.commit()
 
-        def hook(job, error, index):
-            raise ValueError("ledger write blew up")
+        def hook(job, index, settled, error):
+            if settled == state:
+                raise ValueError("ledger write blew up")
 
         report = WorkerPool(queue, handler, workers=1,
-                            on_terminal_failure=hook).run()
+                            on_settled=hook).run()
         # A broken ledger hook must not kill the worker loop.
-        assert report.failed == 2
+        assert report.completed + report.failed == 2
+        assert queue.outstanding() == 0
+        assert report.lease_lost == (1 if state == LOST else 0)
         assert any("ledger write blew up" in e for e in report.errors)
 
     def test_worker_indexes_within_bounds(self):
