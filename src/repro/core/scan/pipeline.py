@@ -35,6 +35,8 @@ from repro.core.scan.dynamic_analysis import ScanExtension
 from repro.corpus import ScriptCorpus, SiteBatch, corpus_path_for
 from repro.net.url import URL, etld_plus_one, same_site
 from repro.obs.telemetry import Telemetry, coalesce
+from repro.sched.jobs import COMPLETED
+from repro.sched.settle import Broker
 from repro.web.world import SyntheticWeb
 
 #: Subpage budget per site (paper Sec. 4.1.2).
@@ -303,7 +305,7 @@ class ScanPipeline:
             ScanResultStore,
             store_path_for,
         )
-        from repro.sched import COMPLETED, CrawlScheduler
+        from repro.sched import CrawlScheduler
 
         if worker_procs is not None:
             if workers != 1:
@@ -383,21 +385,15 @@ class ScanPipeline:
                 store.close()
             return dataset
 
-        # One attempt token per in-flight (site, worker); corpus rows
-        # stay staged until the queue accepts the completion.
-        tokens: Dict[Tuple[str, int], str] = {}
-
         def handler(job, worker_index):
+            # Corpus rows stay staged under the batch token until the
+            # broker settles the completion.
             batch = corpus.site_batch(job.site_url)
-            with self._dataset_lock:
-                tokens[(job.site_url, worker_index)] = batch.token
             try:
                 self._scan_site(job.site_url, dataset, visit_subpages,
                                 batch)
             except BaseException:
                 corpus.drop_staged(batch.token)
-                with self._dataset_lock:
-                    tokens.pop((job.site_url, worker_index), None)
                 abandon = getattr(self.web.network, "abandon_site", None)
                 if abandon is not None:
                     abandon()
@@ -405,26 +401,14 @@ class ScanPipeline:
                     self.recorder.abandon_site()
                 raise
             batch.commit()
-            # Persist before the pool marks the job completed, so
-            # 'completed in queue' always implies 'evidence on disk'
-            # (bodies are staged into the corpus at the same point).
-            store.save(job.site_url, dataset.evidence[job.site_url])
-
-        def on_settled(job, worker_index, state, error):
-            with self._dataset_lock:
-                token = tokens.pop((job.site_url, worker_index), None)
-            if token is None:
-                return
-            if state == COMPLETED:
-                corpus.promote(job.site_url, token)
-            else:
-                # This attempt's verdict was voided by a lost lease:
-                # the winning attempt owns the site's record, so
-                # retract the refcounts this one staged.
-                corpus.drop_staged(token)
+            return {"token": batch.token,
+                    "evidences": dataset.evidence[job.site_url]}
 
         try:
-            scheduler.run(handler, workers=workers, on_settled=on_settled)
+            scheduler.run(handler, workers=workers,
+                          broker=_StagedScanBroker(scheduler.queue,
+                                                   self.telemetry, corpus,
+                                                   store))
             if self.recorder is not None:
                 # Archive the memoized analysis verdicts so replay can
                 # seed its own cache without re-scanning sources.
@@ -620,3 +604,31 @@ class ScanPipeline:
             if len(result_links) >= self.max_subpages:
                 break
         return result_links
+
+
+class _StagedScanBroker(Broker):
+    """Settles a thread scan's completions: a site's corpus rows were
+    staged by its worker, and only a standing completion keeps them."""
+
+    def __init__(self, queue, telemetry, corpus: ScriptCorpus,
+                 store) -> None:
+        super().__init__(queue, telemetry)
+        self.corpus = corpus
+        self.store = store
+
+    def _stage(self, message, state):
+        if state == COMPLETED:
+            # Persist before the completion commits, so 'completed in
+            # queue' always implies 'evidence on disk'.
+            self.store.save(message["site_url"], message["evidences"])
+
+    def _settled(self, message, state, staged):
+        token = message.get("token")
+        if token is None:
+            return
+        if state == COMPLETED:
+            self.corpus.promote(message["site_url"], token)
+        else:
+            # The verdict was voided by a lost lease: the winning
+            # attempt owns the site's record.
+            self.corpus.drop_staged(token)

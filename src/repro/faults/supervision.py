@@ -117,7 +117,7 @@ class CircuitBreaker:
 
     def reset(self, site_url: str) -> None:
         """Close the breaker and forget a site's failures (the site
-        turned out fine — e.g. a stale quarantine was retracted)."""
+        turned out fine — e.g. a voided attempt tripped it)."""
         with self._lock:
             self._open.pop(site_url, None)
             self._failures.pop(site_url, None)

@@ -33,19 +33,23 @@ HELP_TEXTS: Dict[str, str] = {
     "visits_quarantined":
         "Visits short-circuited by an open circuit breaker.",
     "visits_given_up": "Loss-ledger entries written (failed_visits).",
-    "visits_given_up_retracted":
-        "Loss-ledger entries retracted by a superseding verdict.",
+    "visits_given_up_voided":
+        "Given-up rows of voided attempts, dropped unwritten.",
     "visits_discarded":
-        "Committed visits deleted after losing their lease.",
+        "Visits of voided attempts, dropped unwritten.",
+    "completions_discarded":
+        "Completed attempts voided by a lost lease.",
+    "crashes_discarded":
+        "Crash rows of voided attempts, dropped unwritten.",
     "sites_quarantined": "Sites quarantined by the circuit breaker.",
-    "sites_quarantined_retracted":
-        "Quarantine verdicts retracted as stale.",
+    "sites_quarantined_voided":
+        "Quarantine rows of voided attempts, dropped unwritten.",
     "browser_restarts": "Browser replacements after crashes.",
     "browser_cooldowns": "Crash-loop cooldowns applied to a slot.",
     "browser_crash_count": "Crashes per browser slot.",
     "records_written": "Instrument records accepted by storage.",
     "records_discarded":
-        "Instrument records discarded with an aborted visit.",
+        "Instrument records discarded with an aborted or voided visit.",
     "scripts_collected": "Script bodies archived to content storage.",
     "instrumentation_blocked":
         "Pages that blocked instrument injection.",

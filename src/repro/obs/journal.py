@@ -41,7 +41,7 @@ Payload fields by type are documented in DESIGN.md; the vocabulary is
 (counter deltas and gauge values, coalesced per ``(name, labels)``
 over each flush window), ``fault``
 (injections), ``watchdog_abort``, ``site_quarantined`` /
-``quarantine_retracted`` / ``given_up_retracted``, ``lease_*`` /
+``quarantine_voided`` / ``given_up_voided``, ``lease_*`` /
 ``worker_death`` (scheduler), and ``profile_script`` /
 ``profile_function`` (the JS-engine profiler's end-of-run aggregates).
 """

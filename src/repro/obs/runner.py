@@ -101,9 +101,11 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
 
     ``workers=None`` keeps the legacy sequential round-robin crawl.
     Any integer routes the crawl through the scheduler instead — one
-    worker per browser slot, with ``queue_path``/``resume`` exposing
-    the persistent queue and checkpoint/resume (``python -m repro
-    crawl``). An explicit ``urls`` list overrides the generated one.
+    worker per browser slot, each slot a clone of browser 0 (so the
+    tables are the same at any worker count), with
+    ``queue_path``/``resume`` exposing the persistent queue and
+    checkpoint/resume (``python -m repro crawl``). An explicit ``urls``
+    list overrides the generated one.
 
     ``worker_procs`` routes the crawl through the **process** pool
     instead (:mod:`repro.sched.procpool`): N spawned worker processes
@@ -189,6 +191,10 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
             sites=urls, telemetry=telemetry)
         network.recorder = recorder
 
+    # A scheduled crawl runs browser 0 in every worker slot, as each
+    # --worker-procs worker does: which worker visited a site is
+    # scheduling, and must not show in the crawl data.
+    slots = [0] * browsers if workers is not None else range(browsers)
     manager = TaskManager(
         ManagerParams(num_browsers=browsers,
                       database_path=database_path,
@@ -201,7 +207,7 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
         [BrowserParams(browser_id=i, seed=seed + i, dwell_time=dwell,
                        js_instrument=js_instrument,
                        save_content=None if web == "lab" else "script")
-         for i in range(browsers)],
+         for i in slots],
         network, telemetry=telemetry)
     manager.recorder = recorder
     report = None

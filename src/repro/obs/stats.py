@@ -30,7 +30,7 @@ from repro.serve.aggregates import database_section, drop_reasons_section
 
 #: Version stamped into every JSON report export; bump on any change to
 #: the report's shape so downstream consumers can dispatch.
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 def _metric_value(metrics: List[Dict[str, Any]], name: str,
@@ -114,10 +114,13 @@ def build_crawl_report(storage: Any,
                                             "visits_quarantined"),
         "visits_given_up": _metric_value(metrics, "visits_given_up"),
         "visits_discarded": _metric_value(metrics, "visits_discarded"),
-        "visits_retracted": _metric_value(metrics,
-                                          "visits_given_up_retracted"),
-        "quarantines_retracted": _metric_value(
-            metrics, "sites_quarantined_retracted"),
+        "completions_discarded": _metric_value(metrics,
+                                               "completions_discarded"),
+        "crashes_discarded": _metric_value(metrics, "crashes_discarded"),
+        "given_up_voided": _metric_value(metrics,
+                                         "visits_given_up_voided"),
+        "quarantines_voided": _metric_value(metrics,
+                                            "sites_quarantined_voided"),
         "has_given_up": _has_metric(metrics, "visits_given_up"),
         "sites_quarantined": _metric_value(metrics, "sites_quarantined"),
         "browser_cooldowns": _metric_value(metrics, "browser_cooldowns"),
@@ -228,17 +231,21 @@ def build_crawl_report(storage: Any,
               tele["visits_completed"] + tele["visits_crashed"]
               + tele["visits_hung"] + tele["visits_network_faults"]
               + tele["visits_storage_faults"] + tele["visits_errored"])
+        # A voided attempt's envelope (its visits, crash and ledger
+        # rows) is dropped before it reaches the database; the
+        # *_discarded / *_voided counters book what it carried.
         check("visit_attempts_total == site_visits rows + aborted"
-              " + storage_faults + discarded completions",
+              " + storage_faults + discarded visits",
               tele["visit_attempts_total"],
               db["site_visit_rows"] + tele["visits_aborted"]
               + tele["visits_storage_faults"] + tele["visits_discarded"])
-        check("visits_crashed == crash_history rows",
-              tele["visits_crashed"], db["crash_rows"])
+        check("visits_crashed == crash_history rows + discarded",
+              tele["visits_crashed"],
+              db["crash_rows"] + tele["crashes_discarded"])
         if tele["has_given_up"]:
-            check("visits_given_up == failed_visits rows + retracted",
+            check("visits_given_up == failed_visits rows + voided",
                   tele["visits_given_up"],
-                  db["failed_visit_rows"] + tele["visits_retracted"])
+                  db["failed_visit_rows"] + tele["given_up_voided"])
         else:
             check("visits_failed_exhausted == failed_visits rows",
                   tele["visits_failed_exhausted"],
@@ -246,10 +253,10 @@ def build_crawl_report(storage: Any,
         if _has_metric(metrics, "sites_quarantined") \
                 or db["quarantined_site_rows"] == 0:
             check("sites_quarantined == quarantined_sites rows"
-                  " + retracted",
+                  " + voided",
                   tele["sites_quarantined"],
                   db["quarantined_site_rows"]
-                  + tele["quarantines_retracted"])
+                  + tele["quarantines_voided"])
         check("records_written{js} == javascript rows + discarded",
               tele["records_js"],
               db["javascript_rows"] + tele["discarded_js"])
@@ -261,22 +268,22 @@ def build_crawl_report(storage: Any,
               tele["records_cookie"],
               db["cookie_rows"] + tele["discarded_cookie"])
     if has_telemetry and scheduler is not None:
-        # A completed visit whose lease was lost to another worker is
-        # deleted from the DB and counted in visits_discarded; the
-        # winning worker's re-run contributes the job's completion.
+        # A completed attempt whose lease was lost to another worker
+        # never reaches the DB and is counted in completions_discarded;
+        # the winning worker's re-run contributes the job's completion.
         check("visits_completed == sched_jobs_completed"
               " + discarded completions",
               tele["visits_completed"],
-              scheduler["jobs_completed"] + tele["visits_discarded"])
+              scheduler["jobs_completed"] + tele["completions_discarded"])
         if tele["has_given_up"] \
                 or _has_metric(metrics, "sites_quarantined") \
                 or scheduler["jobs_failed"] == 0:
-            check("sched_jobs_failed == visits_given_up - retracted"
-                  " + sites_quarantined - quarantines retracted",
+            check("sched_jobs_failed == visits_given_up - voided"
+                  " + sites_quarantined - quarantines voided",
                   scheduler["jobs_failed"],
-                  tele["visits_given_up"] - tele["visits_retracted"]
+                  tele["visits_given_up"] - tele["given_up_voided"]
                   + tele["sites_quarantined"]
-                  - tele["quarantines_retracted"])
+                  - tele["quarantines_voided"])
         else:
             check("sched_jobs_failed == visits_failed_exhausted",
                   scheduler["jobs_failed"],
@@ -321,8 +328,8 @@ def build_crawl_report(storage: Any,
         def journal_count(name: str) -> int:
             return int(event_counts.get(name, 0))
 
-        def journal_retractions(name: str) -> int:
-            return sum(int(event.get("count") or 1) for event in events
+        def journal_sum(name: str, field: str = "count") -> int:
+            return sum(int(event.get(field) or 0) for event in events
                        if event.get("type") == name)
 
         journal_state = {
@@ -334,18 +341,20 @@ def build_crawl_report(storage: Any,
             "event_counts": event_counts,
         }
         # Journal events vs the database tables: every ledger row must
-        # have its event, net of retractions.
-        check("journal visit_crash events == crash_history rows",
-              journal_count("visit_crash"), db["crash_rows"])
-        check("journal visit_given_up - retractions =="
+        # have its event, net of the rows voided attempts dropped.
+        check("journal visit_crash - discarded == crash_history rows",
+              journal_count("visit_crash")
+              - journal_sum("visit_discarded", "crashes"),
+              db["crash_rows"])
+        check("journal visit_given_up - voided =="
               " failed_visits rows",
               journal_count("visit_given_up")
-              - journal_retractions("given_up_retracted"),
+              - journal_sum("given_up_voided"),
               db["failed_visit_rows"])
-        check("journal site_quarantined - retractions =="
+        check("journal site_quarantined - voided =="
               " quarantined_sites rows",
               journal_count("site_quarantined")
-              - journal_retractions("quarantine_retracted"),
+              - journal_sum("quarantine_voided"),
               db["quarantined_site_rows"])
         if has_telemetry:
             # Journal events vs the telemetry counters (double entry).
@@ -477,7 +486,7 @@ def render_crawl_report(report: Dict[str, Any]) -> str:
         + tele["visits_abandoned"] + tele["visits_errored"]
         + tele["visits_network_faults"] + tele["visits_storage_faults"]
         + tele["browser_cooldowns"] + tele["visits_discarded"]
-        + tele["visits_retracted"] + tele["quarantines_retracted"])
+        + tele["given_up_voided"] + tele["quarantines_voided"])
     if report["has_telemetry"] and supervision_total:
         push("Supervision (watchdog / fault recovery)")
         push(f"  hung visits ............ {int(tele['visits_hung'])}"
@@ -491,14 +500,16 @@ def render_crawl_report(report: Dict[str, Any]) -> str:
         push(f"  crash-loop cooldowns ... "
              f"{int(tele['browser_cooldowns'])}")
         if tele["visits_discarded"]:
-            push(f"  late completions discarded "
-                 f"{int(tele['visits_discarded'])}")
-        if tele["visits_retracted"]:
-            push(f"  failure verdicts retracted "
-                 f"{int(tele['visits_retracted'])}")
-        if tele["quarantines_retracted"]:
-            push(f"  stale quarantines retracted "
-                 f"{int(tele['quarantines_retracted'])}")
+            push(f"  voided visits dropped .. "
+                 f"{int(tele['visits_discarded'])}"
+                 f"  (late completions: "
+                 f"{int(tele['completions_discarded'])})")
+        if tele["given_up_voided"]:
+            push(f"  failure verdicts voided  "
+                 f"{int(tele['given_up_voided'])}")
+        if tele["quarantines_voided"]:
+            push(f"  quarantines voided ..... "
+                 f"{int(tele['quarantines_voided'])}")
         push("")
 
     if db["quarantined_site_rows"] or tele["sites_quarantined"]:

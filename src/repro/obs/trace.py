@@ -20,7 +20,7 @@ _INSTANT_TYPES = (
     "visit_hung", "visit_abandoned", "visit_network_fault",
     "visit_storage_fault", "visit_error", "visit_given_up",
     "visit_quarantined", "visit_discarded", "site_quarantined",
-    "quarantine_retracted", "given_up_retracted", "watchdog_abort",
+    "quarantine_voided", "given_up_voided", "watchdog_abort",
     "fault", "lease_claim", "lease_complete", "lease_fail",
     "lease_reclaim", "lease_lost", "lease_expired_terminal",
     "worker_death",

@@ -16,29 +16,30 @@ Two properties the paper verifies live here:
 * RQ7 injection safety — every statement is parameterised; hostile
   strings in any field cannot alter previously stored rows.
 
-Concurrency model (the scheduler's worker threads share one
-controller): every database access runs under one re-entrant lock — the
-serialized-writer role OpenWPM's real storage controller fills with its
-listener queue — and the visit context is kept *per browser*
-(``browser_id -> VisitContext``) instead of one shared slot. A record
-arriving outside any visit for its browser raises
-:class:`VisitStateError` rather than landing on a stale context; each
-browser's instruments write through a :class:`BrowserStorageHandle`
-that pins their ``browser_id`` explicitly.
+Two roles, one class. Each browser slot records into its own
+in-memory *slot store*; the crawl database is written only by
+:meth:`StorageController.record_envelope`, which lands one job
+attempt's envelope (:meth:`take_envelope` of a slot store) in one
+transaction once the attempt's job has settled. The visit context is
+kept *per browser* (``browser_id -> VisitContext``); a record arriving
+outside any visit for its browser raises :class:`VisitStateError`
+rather than landing on a stale context, and each browser's instruments
+write through a :class:`BrowserStorageHandle` that pins their
+``browser_id``. Every database access runs under one re-entrant lock.
 
 Write path: visit-scoped records (http_requests, http_responses,
 javascript, javascript_cookies, content) are buffered in per-table
 lists and flushed with one ``executemany`` per table — one transaction
 per visit instead of one ``execute`` per record. Rows keep their
 arrival order within each table, so AUTOINCREMENT ids are identical to
-the per-record scheme. Every read (``query``) and every retraction
-(``abort_visit`` / ``delete_visit``) flushes first, so buffered rows
-are always visible to callers and an expired-lease retraction removes
-batched-but-unflushed rows along with committed ones.
+the per-record scheme. Every read (``query``) and ``abort_visit``
+flush first, so buffered rows are always visible to callers and a
+watchdog abort removes batched-but-unflushed rows along with flushed
+ones.
 
 Serving hooks: the controller owns a
 :class:`repro.serve.rollups.RollupMaintainer` that folds every
-mutation — visit commits, broker imports, and all retractions — into
+mutation — visit commits and envelope writes — into
 the read-optimized ``rollups_*`` tables inside the same transaction as
 the raw rows, so the serving layer's aggregates can never commit apart
 from the ground truth they summarise. Each visit's contribution is
@@ -198,6 +199,10 @@ class StorageController:
     Thread-safe: one connection shared across worker threads, every
     access serialized through ``self._lock``.
     """
+
+    #: Tables whose rows belong to one visit (by ``visit_id``).
+    _VISIT_TABLES = ("http_requests", "http_responses", "javascript",
+                     "javascript_cookies")
 
     #: INSERT statements for the batched (visit-scoped) tables.
     _BATCHED: Dict[str, str] = {
@@ -400,8 +405,7 @@ class StorageController:
             # still sitting in the batch buffers.
             self._flush_locked()
             discarded: Dict[str, int] = {}
-            for table in ("http_requests", "http_responses",
-                          "javascript", "javascript_cookies"):
+            for table in self._VISIT_TABLES:
                 cursor = self.connection.execute(
                     f"DELETE FROM {table} WHERE visit_id = ?",  # noqa: S608
                     (context.visit_id,))
@@ -413,39 +417,8 @@ class StorageController:
             del self._contexts[browser_id]
             return discarded
 
-    def delete_visit(self, visit_id: int) -> Dict[str, int]:
-        """Delete a *committed* visit's rows by id.
-
-        The scheduler's remedy when a completed-and-committed visit
-        loses the lease race: another worker has re-leased the job and
-        will produce the site's data again, so this copy must go to
-        keep ``site_visits`` duplicate-free. Returns per-table counts
-        of the deleted records (same shape as :meth:`abort_visit`) so
-        the caller can balance its ``records_written`` accounting.
-        """
-        with self._lock:
-            # An expired-lease retraction must catch batched rows the
-            # doomed attempt buffered but never flushed.
-            self._flush_locked()
-            # Fold the doomed visit back out of the rollups while its
-            # rows still exist (the voided verdict must vanish from
-            # served aggregates exactly as it does from the raw tables).
-            self.rollups.visit_retracted(visit_id)
-            discarded: Dict[str, int] = {}
-            for table in ("http_requests", "http_responses",
-                          "javascript", "javascript_cookies"):
-                cursor = self.connection.execute(
-                    f"DELETE FROM {table} WHERE visit_id = ?",  # noqa: S608
-                    (visit_id,))
-                discarded[table] = cursor.rowcount
-            self.connection.execute(
-                "DELETE FROM site_visits WHERE visit_id = ?",
-                (visit_id,))
-            self.connection.commit()
-            return discarded
-
     # ------------------------------------------------------------------
-    # Single-writer broker support (``--worker-procs``)
+    # Envelopes: a slot store's rows, landed in the crawl database
     # ------------------------------------------------------------------
     #: Column order of the batched tables, matching ``_BATCHED``.
     _BATCHED_COLUMNS: Dict[str, Tuple[str, ...]] = {
@@ -468,68 +441,7 @@ class StorageController:
         "content": ("content_hash", "content", "url", "content_type"),
     }
 
-    def visit_ids_since(self, after_visit_id: int) -> List[int]:
-        """Committed visit ids greater than *after_visit_id*, in order.
-
-        The process worker's per-job cursor: everything a job's visit
-        attempts committed to the worker-local database (including the
-        partial rows a crashed attempt leaves behind, exactly as the
-        inline path would) is found here and exported to the broker.
-        """
-        with self._lock:
-            self._flush_locked()
-            return [int(row["visit_id"]) for row in self.connection.execute(
-                "SELECT visit_id FROM site_visits WHERE visit_id > ? "
-                "ORDER BY visit_id", (after_visit_id,))]
-
-    def export_visit(self, visit_id: int) -> Dict[str, Any]:
-        """One committed visit's rows, in insertion order, as plain
-        tuples — the worker half of the worker→broker envelope.
-
-        ``content`` rows are deliberately absent (they are visit-less
-        and deduplicated by hash; see :meth:`export_content_rows`).
-        """
-        with self._lock:
-            self._flush_locked()
-            visit_row = self.connection.execute(
-                "SELECT * FROM site_visits WHERE visit_id = ?",
-                (visit_id,)).fetchone()
-            if visit_row is None:
-                raise VisitStateError(
-                    f"visit {visit_id} is not in site_visits")
-            tables: Dict[str, List[Tuple]] = {}
-            for table in ("http_requests", "http_responses",
-                          "javascript", "javascript_cookies"):
-                cols = ", ".join(self._BATCHED_COLUMNS[table])
-                tables[table] = [tuple(row) for row in self.connection.execute(
-                    f"SELECT {cols} FROM {table} "  # noqa: S608
-                    f"WHERE visit_id = ? ORDER BY id", (visit_id,))]
-            return {"visit_id": visit_id,
-                    "browser_id": int(visit_row["browser_id"]),
-                    "site_url": visit_row["site_url"],
-                    "run_label": visit_row["run_label"] or "",
-                    "tables": tables}
-
-    def export_content_rows(self, after_rowid: int = 0
-                            ) -> Tuple[int, List[Tuple]]:
-        """``content`` rows past *after_rowid*, plus the new cursor.
-
-        Content rows carry no ``visit_id``; the worker ships them per
-        job in first-seen order and the broker re-inserts them with the
-        same INSERT OR IGNORE the inline path uses, so the surviving
-        rows land in the same first-seen positions.
-        """
-        with self._lock:
-            self._flush_locked()
-            rows = self.connection.execute(
-                "SELECT rowid, content_hash, content, url, content_type "
-                "FROM content WHERE rowid > ? ORDER BY rowid",
-                (after_rowid,)).fetchall()
-            cursor = int(rows[-1]["rowid"]) if rows else after_rowid
-            return cursor, [tuple(row)[1:] for row in rows]
-
-    #: Ledger tables a worker ships by id cursor (column order matches
-    #: the coordinator-side re-insert helpers).
+    #: Ledger tables an envelope carries (column order of its rows).
     _LEDGER_COLUMNS: Dict[str, Tuple[str, ...]] = {
         "crash_history": ("browser_id", "visit_id", "site_url",
                           "action"),
@@ -539,108 +451,126 @@ class StorageController:
                               "quarantined_at"),
     }
 
-    def export_ledger_rows(self, table: str, after_id: int = 0
-                           ) -> Tuple[int, List[Tuple]]:
-        """Ledger rows (crash/failed/quarantine) past *after_id*."""
-        if table not in self._LEDGER_COLUMNS:
-            raise ValueError(f"unknown ledger table {table!r}")
-        cols = ", ".join(self._LEDGER_COLUMNS[table])
+    def take_envelope(self) -> Dict[str, Any]:
+        """Every row recorded since the last call, as plain tuples, and
+        removed from this store: one job attempt's envelope.
+
+        A browser slot records into its own in-memory store; the crawl
+        database only ever receives envelopes (:meth:`record_envelope`).
+        ``visits`` keep their store-local ids (a crashed attempt's
+        partial visit included, as the visit left it); ``content`` rows
+        are visit-less and keep first-seen order; ``ledger`` holds the
+        crash, given-up and quarantine rows, whose ``crash_history``
+        ``visit_id`` still names a store-local visit.
+        """
         with self._lock:
-            rows = self.connection.execute(
-                f"SELECT id, {cols} FROM {table} "  # noqa: S608
-                f"WHERE id > ? ORDER BY id", (after_id,)).fetchall()
-            cursor = int(rows[-1]["id"]) if rows else after_id
-            return cursor, [tuple(row)[1:] for row in rows]
+            if self._contexts:
+                raise VisitStateError(
+                    f"cannot take an envelope with visits active "
+                    f"(browsers {sorted(self._contexts)})")
+            self._flush_locked()
+            execute = self.connection.execute
+            visits: List[Dict[str, Any]] = []
+            by_id: Dict[int, Dict[str, List[Tuple]]] = {}
+            for row in execute("SELECT * FROM site_visits "
+                               "ORDER BY visit_id"):
+                tables: Dict[str, List[Tuple]] = {
+                    table: [] for table in self._VISIT_TABLES}
+                by_id[int(row["visit_id"])] = tables
+                visits.append({"visit_id": int(row["visit_id"]),
+                               "browser_id": int(row["browser_id"]),
+                               "site_url": row["site_url"],
+                               "run_label": row["run_label"] or "",
+                               "tables": tables})
+            taken = {"site_visits"} if visits else set()
+            for table in self._VISIT_TABLES:
+                cols = ", ".join(self._BATCHED_COLUMNS[table])
+                for row in execute(f"SELECT {cols} FROM {table} "  # noqa: S608
+                                   f"ORDER BY id"):
+                    by_id[int(row[0])][table].append(tuple(row))
+                    taken.add(table)
+            content = [tuple(row) for row in execute(
+                "SELECT content_hash, content, url, content_type "
+                "FROM content ORDER BY rowid")]
+            if content:
+                taken.add("content")
+            ledger = {
+                table: [tuple(row) for row in execute(
+                    f"SELECT {', '.join(cols)} FROM {table} "  # noqa: S608
+                    f"ORDER BY id")]
+                for table, cols in self._LEDGER_COLUMNS.items()}
+            taken.update(table for table, rows in ledger.items() if rows)
+            for table in taken:
+                execute(f"DELETE FROM {table}")  # noqa: S608
+            self.connection.commit()
+            return {"visits": visits, "content": content,
+                    "ledger": ledger}
 
-    def import_visit(self, browser_id: int, site_url: str,
-                     run_label: str, tables: Dict[str, List[Tuple]]
-                     ) -> int:
-        """Write one worker-exported visit under a fresh visit id.
+    def record_envelope(self, visits: List[Dict[str, Any]],
+                        content: List[Tuple],
+                        ledger: Dict[str, List[Tuple]]) -> int:
+        """Land one attempt's envelope in a single transaction.
 
-        The broker half of the envelope: allocates the next visit id
-        exactly as :meth:`begin_visit` would, rewrites each row's
-        leading ``visit_id`` column, and lands everything in one
-        transaction. Applying envelopes in job order therefore yields
-        the same ids and row order the inline path produces.
+        Each visit gets the next visit id, exactly as :meth:`begin_visit`
+        would allocate it, so envelopes landed in job order give every
+        crawl mode the same ids and row order. ``crash_history`` rows
+        are remapped to the new ids; ``content`` and
+        ``quarantined_sites`` keep their OR IGNORE dedup. Every row is
+        folded into the rollups inside the same transaction. Returns
+        how many quarantine rows actually landed.
         """
         with self._lock:
             self._flush_locked()
-            visit_id = self._next_visit_id
-            self._next_visit_id += 1
-            self.connection.execute(
-                "INSERT INTO site_visits (visit_id, browser_id, "
-                "site_url, run_label) VALUES (?, ?, ?, ?)",
-                (visit_id, browser_id, site_url, run_label))
-            delta = VisitDelta() if self.rollups.enabled else None
-            for table, rows in tables.items():
-                if table not in self._BATCHED or table == "content":
-                    raise ValueError(
-                        f"cannot import rows for table {table!r}")
-                if rows:
-                    self.connection.executemany(
-                        self._BATCHED[table],
-                        [(visit_id,) + tuple(row[1:]) for row in rows])
+            execute = self.connection.execute
+            ids: Dict[int, int] = {}
+            for visit in visits:
+                visit_id = self._next_visit_id
+                self._next_visit_id += 1
+                ids[visit["visit_id"]] = visit_id
+                execute("INSERT INTO site_visits (visit_id, browser_id, "
+                        "site_url, run_label) VALUES (?, ?, ?, ?)",
+                        (visit_id, visit["browser_id"], visit["site_url"],
+                         visit["run_label"]))
+                delta = VisitDelta() if self.rollups.enabled else None
+                for table, rows in visit["tables"].items():
+                    if table not in self._VISIT_TABLES:
+                        raise ValueError(
+                            f"cannot record rows for table {table!r}")
+                    if not rows:
+                        continue
+                    rows = [(visit_id,) + tuple(row[1:]) for row in rows]
+                    self.connection.executemany(self._BATCHED[table], rows)
                     if delta is not None:
-                        # Envelope rows are the same tuples the worker
-                        # buffered, so the broker's rollup delta goes
-                        # through the identical accounting as a live
-                        # inline visit.
                         for row in rows:
-                            delta.add_row(table, tuple(row))
-            self.rollups.visit_committed(site_url,
-                                         delta or VisitDelta())
+                            delta.add_row(table, row)
+                self.rollups.visit_committed(visit["site_url"],
+                                             delta or VisitDelta())
+            if content:
+                before = self.connection.total_changes
+                self.connection.executemany(self._BATCHED["content"],
+                                            [tuple(row) for row in content])
+                self.rollups.content_inserted(
+                    self.connection.total_changes - before)
+            for browser_id, visit_id, site_url, action in \
+                    ledger.get("crash_history", ()):
+                execute("INSERT INTO crash_history (browser_id, visit_id, "
+                        "site_url, action) VALUES (?, ?, ?, ?)",
+                        (browser_id, ids.get(visit_id), site_url, action))
+                self.rollups.crash_recorded(site_url, action)
+            for row in ledger.get("failed_visits", ()):
+                execute("INSERT INTO failed_visits (browser_id, site_url, "
+                        "attempts, reason) VALUES (?, ?, ?, ?)", tuple(row))
+                self.rollups.failed_recorded(str(row[1]), str(row[3] or ""))
+            landed = 0
+            for row in ledger.get("quarantined_sites", ()):
+                inserted = execute(
+                    "INSERT OR IGNORE INTO quarantined_sites (site_url, "
+                    "failures, reason, quarantined_at) "
+                    "VALUES (?, ?, ?, ?)", tuple(row)).rowcount > 0
+                self.rollups.quarantine_recorded(str(row[0]), inserted)
+                landed += inserted
             self.connection.commit()
-            return visit_id
-
-    def import_content_rows(self, rows: List[Tuple]) -> None:
-        """Re-insert worker-shipped ``content`` rows (OR IGNORE)."""
-        if not rows:
-            return
-        with self._lock:
-            before = self.connection.total_changes
-            self.connection.executemany(
-                self._BATCHED["content"],
-                [tuple(row) for row in rows])
-            self.rollups.content_inserted(
-                self.connection.total_changes - before)
-            self.connection.commit()
-
-    def import_ledger_rows(self, table: str, rows: List[Tuple]) -> None:
-        """Re-insert worker-shipped ledger rows.
-
-        Column order follows :attr:`_LEDGER_COLUMNS`; the broker remaps
-        ``crash_history.visit_id`` to coordinator ids before calling.
-        ``quarantined_sites`` keeps its OR IGNORE semantics (one row per
-        site) so a re-shipped quarantine cannot double up.
-        """
-        if table not in self._LEDGER_COLUMNS:
-            raise ValueError(f"unknown ledger table {table!r}")
-        if not rows:
-            return
-        cols = self._LEDGER_COLUMNS[table]
-        verb = "INSERT OR IGNORE" if table == "quarantined_sites" \
-            else "INSERT"
-        sql = (f"{verb} INTO {table} ({', '.join(cols)}) "  # noqa: S608
-               f"VALUES ({', '.join('?' for _ in cols)})")
-        with self._lock:
-            if table == "quarantined_sites":
-                # Row-at-a-time so the rollup hook learns which rows
-                # actually landed (OR IGNORE drops re-shipped ones).
-                for row in rows:
-                    cursor = self.connection.execute(sql, tuple(row))
-                    self.rollups.quarantine_recorded(
-                        str(row[0]), cursor.rowcount > 0)
-            else:
-                self.connection.executemany(
-                    sql, [tuple(row) for row in rows])
-                for row in rows:
-                    if table == "crash_history":
-                        self.rollups.crash_recorded(
-                            str(row[2] or ""), str(row[3] or ""))
-                    else:
-                        self.rollups.failed_recorded(
-                            str(row[1]), str(row[3] or ""))
-            self.connection.commit()
+            return landed
 
     def _context(self, browser_id: Optional[int] = None) -> VisitContext:
         """Resolve the visit context a record belongs to, or raise."""
@@ -752,23 +682,6 @@ class StorageController:
                 (browser_id, site_url, attempts, reason))
             self.rollups.failed_recorded(site_url, reason)
 
-    def retract_failed_visits(self, site_url: str) -> int:
-        """Delete a site's ``failed_visits`` rows; returns the count.
-
-        The scheduler's remedy when a terminal-failure verdict was
-        voided by a lost lease: the ledger row written on exhaustion
-        no longer describes the site's fate (a live worker re-runs it
-        and may complete or quarantine it instead).
-        """
-        with self._lock:
-            # Decrement the rollups from the rows while they exist.
-            self.rollups.failed_retracted(site_url)
-            cursor = self.connection.execute(
-                "DELETE FROM failed_visits WHERE site_url = ?",
-                (site_url,))
-            self.connection.commit()
-            return cursor.rowcount
-
     def record_quarantine(self, site_url: str, failures: int,
                           reason: str, quarantined_at: float = 0.0
                           ) -> None:
@@ -781,22 +694,6 @@ class StorageController:
             self.rollups.quarantine_recorded(site_url,
                                              cursor.rowcount > 0)
             self.connection.commit()
-
-    def retract_quarantine(self, site_url: str) -> int:
-        """Delete a site's quarantine row; returns the count.
-
-        Used when the quarantine verdict turned out to be stale: a
-        voided (lease-lost) hung attempt tripped the breaker after a
-        live worker had already completed the site.
-        """
-        with self._lock:
-            cursor = self.connection.execute(
-                "DELETE FROM quarantined_sites WHERE site_url = ?",
-                (site_url,))
-            self.rollups.quarantine_retracted(site_url,
-                                              cursor.rowcount)
-            self.connection.commit()
-            return cursor.rowcount
 
     def quarantined_rows(self) -> List[Dict[str, Any]]:
         return [dict(row) for row in self.query(

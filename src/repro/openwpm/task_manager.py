@@ -42,10 +42,10 @@ from repro.obs.telemetry import Telemetry, coalesce
 from repro.openwpm.config import BrowserParams, ManagerParams
 from repro.openwpm.extension import OpenWPMExtension
 from repro.openwpm.storage import StorageController
-from repro.sched.jobs import COMPLETED, FAILED
-from repro.sched.settle import LOST
+from repro.sched.jobs import COMPLETED, FAILED, PENDING
+from repro.sched.settle import COMPLETE, LOST, RETRY, TERMINAL
 
-#: abort_visit table name -> records_written instrument label.
+#: Visit table name -> records_written instrument label.
 _DISCARD_INSTRUMENTS = {
     "javascript": "js",
     "http_requests": "http",
@@ -54,46 +54,51 @@ _DISCARD_INSTRUMENTS = {
 
 
 #: Ledger operations :func:`visit_ledger_ops` returns, with their
-#: argument: a committed visit id to delete, a give-up reason, or None.
-DISCARD_VISIT = "discard_visit"
+#: argument: a give-up reason, or None.
+WRITE = "write"
+DROP = "drop"
 GIVE_UP = "give_up"
-RETRACT_GIVEN_UP = "retract_given_up"
-RETRACT_QUARANTINE = "retract_quarantine"
+QUARANTINE = "quarantine"
+CLOSE_BREAKER = "close_breaker"
 
 
-def visit_ledger_ops(state: str, error: str, visit_ids: List[int],
-                     gave_up: bool, quarantined: bool,
+def visit_ledger_ops(state: str, error: str, gave_up: bool,
+                     tripped: bool, quarantined: bool,
                      completed_elsewhere: bool) -> List[Tuple[str, Any]]:
     """The crawl ledgers' answer to one settled job attempt.
 
-    Inputs: the settled *state* (``completed``, ``failed``, ``pending``
-    or ``lost``) and *error*; the visits this attempt committed; whether
-    it gave the site up (wrote a ``failed_visits`` row); whether the
-    site is quarantined; and — for a lost attempt — whether another
-    worker completed the job. Every settled site must end in exactly
-    one of ``site_visits``, ``failed_visits`` or ``quarantined_sites``:
+    An attempt's rows travel as one envelope: its visits and crash
+    rows, plus a ``failed_visits`` row if it gave the site up
+    (*gave_up*) or a ``quarantined_sites`` row if it tripped the
+    circuit breaker (*tripped*). Other inputs: the settled *state*
+    (``completed``, ``failed``, ``pending`` or ``lost``) and *error*;
+    whether the breaker is open on the site now (*quarantined*); and —
+    for a lost attempt — whether another worker completed the job.
+    Every settled site must end in exactly one of ``site_visits``,
+    ``failed_visits`` or ``quarantined_sites``:
 
-    * completed — a quarantine a hung sibling attempt tripped while
-      this visit was in flight is stale;
-    * failed — a row the attempt already wrote (give-up or
-      quarantine) is the entry, otherwise the site is given up;
-    * lost — the verdict is void: this attempt's visits and give-up
-      row go, and if the job was completed elsewhere a quarantine this
-      attempt tripped is stale too;
-    * pending — nothing yet: the re-run settles the site.
+    * completed — the envelope lands; a breaker a voided sibling
+      attempt tripped is stale and closes;
+    * failed — the envelope lands, and if it carries no ledger row one
+      is added: the quarantine row when the breaker is open (the
+      attempt that tripped it was voided and its row dropped), a
+      given-up row otherwise;
+    * pending — the envelope lands; the re-run settles the site;
+    * lost — the verdict is void: the envelope is dropped, and if the
+      job was completed elsewhere a breaker this attempt tripped is
+      stale too.
     """
-    if state == COMPLETED:
-        return [(RETRACT_QUARANTINE, None)] if quarantined else []
-    if state == FAILED:
-        return [] if gave_up or quarantined else [(GIVE_UP, error)]
-    if state != LOST:
-        return []
-    ops: List[Tuple[str, Any]] = [(DISCARD_VISIT, visit_id)
-                                  for visit_id in visit_ids]
-    if gave_up:
-        ops.append((RETRACT_GIVEN_UP, None))
-    if quarantined and completed_elsewhere:
-        ops.append((RETRACT_QUARANTINE, None))
+    if state == LOST:
+        ops: List[Tuple[str, Any]] = [(DROP, None)]
+        if quarantined and completed_elsewhere:
+            ops.append((CLOSE_BREAKER, None))
+        return ops
+    ops = [(WRITE, None)]
+    if state == COMPLETED and quarantined:
+        ops.append((CLOSE_BREAKER, None))
+    elif state == FAILED and not (gave_up or tripped):
+        ops.append((QUARANTINE, None) if quarantined
+                   else (GIVE_UP, error))
     return ops
 
 
@@ -123,14 +128,10 @@ class ManagedBrowser:
     params: BrowserParams
     browser: Browser
     extension: OpenWPMExtension
+    #: The slot's own in-memory store: everything its visits record
+    #: lands here first and leaves as one envelope per job attempt.
+    store: StorageController
     crash_count: int = 0
-    #: visit_id of this slot's most recently *committed* visit, None
-    #: until one completes. Settling a lost lease deletes that copy.
-    last_visit_id: Optional[int] = None
-    #: site whose ``failed_visits`` row this slot's latest
-    #: execute_command_sequence call wrote (retry exhaustion), None
-    #: otherwise. Settling a lost lease retracts that row.
-    last_given_up_site: Optional[str] = None
     #: Index into the slot's JS-instrument record stream at visit
     #: start; the slice from here is the visit's bundle trace.
     bundle_trace_mark: int = 0
@@ -138,6 +139,12 @@ class ManagedBrowser:
 
 class TaskManager:
     """Drives browsers over a list of sites with crash recovery.
+
+    Storage: each browser slot records into its own in-memory store
+    (``ManagedBrowser.store``); ``storage`` is the crawl database, and
+    only :meth:`settle_visit` writes it — one envelope per job attempt,
+    called by a :class:`~repro.sched.procpool.CrawlBroker` in scheduled
+    crawls and directly by ``crawl()``/``get()``.
 
     Thread safety — ``execute_command_sequence`` runs concurrently on
     pool worker threads (one pinned browser slot each):
@@ -163,7 +170,8 @@ class TaskManager:
         self._rng = random.Random(manager_params.seed)
         self._js_instrument_factory = js_instrument_factory
         self.browsers: List[ManagedBrowser] = [
-            self._launch_browser(params) for params in browser_params]
+            self._launch_browser(params, StorageController(rollups=False))
+            for params in browser_params]
         self._next_slot = 0
         self.failed_sites: List[str] = []
         self._failed_sites_lock = threading.Lock()
@@ -175,7 +183,8 @@ class TaskManager:
         self.fault_plan = self._build_fault_plan()
         if self.fault_plan is not None:
             self.fault_plan.bind_clock(self.telemetry.clock)
-            self.storage.fault_plan = self.fault_plan
+            for slot in self.browsers:
+                slot.store.fault_plan = self.fault_plan
             self.network.fault_plan = self.fault_plan
             # Flight recorder: journal every injection. The journal is
             # read through the telemetry facade at fire time, so a
@@ -219,16 +228,17 @@ class TaskManager:
         return plan
 
     # ------------------------------------------------------------------
-    def _launch_browser(self, params: BrowserParams) -> ManagedBrowser:
+    def _launch_browser(self, params: BrowserParams,
+                        store: StorageController) -> ManagedBrowser:
         profile = openwpm_profile(
             params.os_name,
             "regular" if params.display_mode == "native"
             else params.display_mode,
             window_size=params.window_size,
             window_position=params.window_position)
-        # Each browser writes through a handle pinning its browser_id,
-        # so concurrent visits cannot cross-attribute records.
-        storage_handle = self.storage.handle(params.browser_id)
+        # Each browser writes into its slot's store through a handle
+        # pinning its browser_id.
+        storage_handle = store.handle(params.browser_id)
         js_instrument = None
         if self._js_instrument_factory is not None and params.js_instrument:
             js_instrument = self._js_instrument_factory(
@@ -240,7 +250,8 @@ class TaskManager:
                           client_id=f"openwpm-{params.browser_id}",
                           extension=extension, seed=params.seed)
         return ManagedBrowser(browser_id=params.browser_id, params=params,
-                              browser=browser, extension=extension)
+                              browser=browser, extension=extension,
+                              store=store)
 
     def _restart_browser(self, slot: ManagedBrowser,
                          site_url: str = "") -> None:
@@ -251,7 +262,7 @@ class TaskManager:
         A slot caught crash-looping cools down (virtual time) before
         the relaunch instead of hot-looping replacements.
         """
-        self.storage.record_crash(slot.browser_id, site_url, "restart")
+        slot.store.record_crash(slot.browser_id, site_url, "restart")
         self.telemetry.metrics.counter("browser_restarts").inc()
         if self._crash_loop is not None:
             cooldown = self._crash_loop.on_restart(
@@ -259,7 +270,7 @@ class TaskManager:
             if cooldown > 0:
                 self.telemetry.metrics.counter("browser_cooldowns").inc()
                 self.telemetry.clock.advance(cooldown)
-        replacement = self._launch_browser(slot.params)
+        replacement = self._launch_browser(slot.params, slot.store)
         slot.browser = replacement.browser
         slot.extension = replacement.extension
         slot.crash_count += 1
@@ -306,99 +317,111 @@ class TaskManager:
             return False
         if not self._breaker.record_failure(url):
             return False
-        self.storage.record_quarantine(
+        slot.store.record_quarantine(
             url, self._breaker.failures(url), why,
             self.telemetry.clock.peek())
-        tm = self.telemetry
-        tm.journal.emit("site_quarantined", url=url,
-                        failures=self._breaker.failures(url), why=why)
-        tm.metrics.counter("sites_quarantined").inc()
-        tm.metrics.counter("visits_quarantined").inc()
-        # The quarantine row is now the site's single ledger entry:
-        # retract any failed_visits row written earlier (e.g. a
-        # lease-expiry reclaim that went terminal while this worker
-        # was still hung on the site).
-        self._retract_failed_rows(url)
+        self._book_quarantine(url, why)
+        self.telemetry.metrics.counter("visits_quarantined").inc()
         visit_span.set_attribute("outcome", "quarantined")
         visit_span.set_status("error:quarantined")
         return True
 
-    def _retract_failed_rows(self, url: str) -> int:
-        """Void a site's failed_visits entries (superseded verdict)."""
-        retracted = self.storage.retract_failed_visits(url)
-        if retracted:
-            self.telemetry.journal.emit("given_up_retracted", url=url,
-                                        count=retracted)
-            self.telemetry.metrics.counter(
-                "visits_given_up_retracted").inc(retracted)
-            with self._failed_sites_lock:
-                self.failed_sites = [site for site in self.failed_sites
-                                     if site != url]
-        return retracted
+    def _book_quarantine(self, url: str, why: str) -> None:
+        tm = self.telemetry
+        tm.journal.emit("site_quarantined", url=url,
+                        failures=self._failures(url), why=why)
+        tm.metrics.counter("sites_quarantined").inc()
 
-    def _retract_stale_quarantine(self, url: str) -> None:
-        """Void a quarantine tripped by an already-voided attempt after
-        the site was (or is being) completed by a live worker: close
-        the breaker and drop the row so the ledger matches the queue's
-        verdict that the site succeeded."""
-        retracted = self.storage.retract_quarantine(url)
-        if retracted:
-            self.telemetry.journal.emit("quarantine_retracted", url=url,
-                                        count=retracted)
-            self.telemetry.metrics.counter(
-                "sites_quarantined_retracted").inc(retracted)
-        if self._breaker is not None:
-            self._breaker.reset(url)
+    def _failures(self, url: str) -> int:
+        return self._breaker.failures(url) if self._breaker else 0
 
-    def _record_given_up(self, browser_id: int, url: str,
+    def _record_given_up(self, slot: ManagedBrowser, url: str,
                          attempts: int, reason: str) -> None:
         """The crawl-loss ledger entry for a site given up on."""
-        self.storage.record_failed_visit(browser_id, url, attempts,
-                                         reason)
+        slot.store.record_failed_visit(slot.browser_id, url, attempts,
+                                       reason)
+        self._book_given_up(url, attempts, reason)
+
+    def _book_given_up(self, url: str, attempts: int, reason: str) -> None:
         self.telemetry.journal.emit("visit_given_up", url=url,
                                     attempts=attempts, reason=reason)
         self.telemetry.metrics.counter("visits_given_up").inc()
-        with self._failed_sites_lock:
-            self.failed_sites.append(url)
 
-    def _give_up(self, browser_id: int, url: str, attempts: int,
-                 reason: str) -> bool:
-        """Ledger a site given up on; False when the row was retracted
-        again because a concurrent trip (scheduled path) quarantined
-        the site meanwhile — that row is the ledger entry, the
-        exhaustion one would double up."""
-        self._record_given_up(browser_id, url, attempts, reason)
-        if self.is_quarantined(url):
-            self._retract_failed_rows(url)
-            return False
-        return True
+    def settle_visit(self, message: Dict[str, Any], state: str,
+                     completed_elsewhere: bool = False) -> None:
+        """Bring the crawl database in line with one settled attempt.
 
-    def settle_visit(self, queue: Any, job_id: int, url: str, state: str,
-                     error: str, *, browser_id: int, attempts: int,
-                     visit_ids: List[int], gave_up: bool,
-                     quarantined: bool) -> None:
-        """Bring the crawl ledgers in line with one settled job attempt.
-
-        The rules are :func:`visit_ledger_ops`; this applies them. The
-        thread pool's hook passes the attempt's slot state, the process
-        broker the shipped envelope (the visits it imported, whether a
-        ``failed_visits`` row came along, the worker's breaker state).
+        *message* is the attempt's resolution (:meth:`run_job`: outcome,
+        envelope, breaker state; a reclaimed job's carries no
+        envelope). The rules are :func:`visit_ledger_ops`; this applies
+        them, landing a standing verdict's envelope — and the ledger
+        row its verdict adds — in one crawl-database transaction, or
+        dropping a voided one. Nothing written is ever taken back.
         """
-        completed_elsewhere = state == LOST and quarantined \
-            and queue.job_status(job_id) == COMPLETED
-        for op, arg in visit_ledger_ops(state, error, visit_ids, gave_up,
-                                        quarantined, completed_elsewhere):
-            if op == DISCARD_VISIT:
-                self.telemetry.journal.emit("visit_discarded", url=url,
-                                            visit_id=arg)
-                self._count_discarded(self.storage.delete_visit(arg))
-                self.telemetry.metrics.counter("visits_discarded").inc()
-            elif op == GIVE_UP:
-                self._give_up(browser_id, url, attempts, arg)
-            elif op == RETRACT_GIVEN_UP:
-                self._retract_failed_rows(url)
-            else:
-                self._retract_stale_quarantine(url)
+        url = message["site_url"]
+        ledger = message.get("ledger", {})
+        failed = list(ledger.get("failed_visits", ()))
+        quarantine = list(ledger.get("quarantined_sites", ()))
+        ops = dict(visit_ledger_ops(
+            state, message["error"], bool(failed), bool(quarantine),
+            message.get("quarantined", self.is_quarantined(url)),
+            completed_elsewhere))
+        if DROP in ops:
+            self._count_dropped(message)
+        else:
+            if GIVE_UP in ops:
+                failed.append((message.get("browser_id", 0), url,
+                               message["attempts"], ops[GIVE_UP]))
+            if QUARANTINE in ops:
+                quarantine.append((url, message.get(
+                    "failures", self._failures(url)), "breaker_open",
+                    self.telemetry.clock.peek()))
+            landed = self.storage.record_envelope(
+                message.get("visits", []), message.get("content", []),
+                {"crash_history": ledger.get("crash_history", []),
+                 "failed_visits": failed, "quarantined_sites": quarantine})
+            if GIVE_UP in ops:
+                self._book_given_up(url, message["attempts"], ops[GIVE_UP])
+            if QUARANTINE in ops and landed:
+                self._book_quarantine(url, "breaker_open")
+            if failed:
+                with self._failed_sites_lock:
+                    self.failed_sites.extend(row[1] for row in failed)
+        if CLOSE_BREAKER in ops and self._breaker is not None:
+            # A voided attempt tripped the breaker; its quarantine row
+            # never landed and the site turned out fine.
+            self._breaker.reset(url)
+
+    def _count_dropped(self, message: Dict[str, Any]) -> None:
+        """Book a voided attempt's envelope, which never reaches the
+        crawl database, so every counter still reconciles."""
+        tm = self.telemetry
+        metrics = tm.metrics
+        url = message["site_url"]
+        visits = message.get("visits", [])
+        ledger = message.get("ledger", {})
+        crashes = sum(1 for row in ledger.get("crash_history", ())
+                      if row[3] == "crash")
+        tm.journal.emit("visit_discarded", url=url, visits=len(visits),
+                        crashes=crashes)
+        if visits:
+            metrics.counter("visits_discarded").inc(len(visits))
+        if crashes:
+            metrics.counter("crashes_discarded").inc(crashes)
+        if message["kind"] == COMPLETE:
+            metrics.counter("completions_discarded").inc()
+        for visit in visits:
+            self._count_discarded({table: len(rows) for table, rows
+                                   in visit["tables"].items()})
+        given_up = len(ledger.get("failed_visits", ()))
+        if given_up:
+            tm.journal.emit("given_up_voided", url=url, count=given_up)
+            metrics.counter("visits_given_up_voided").inc(given_up)
+        quarantines = len(ledger.get("quarantined_sites", ()))
+        if quarantines:
+            tm.journal.emit("quarantine_voided", url=url,
+                            count=quarantines)
+            metrics.counter("sites_quarantined_voided").inc(quarantines)
 
     def _count_discarded(self, discarded: Dict[str, int]) -> None:
         for table, count in discarded.items():
@@ -407,13 +430,60 @@ class TaskManager:
                 self.telemetry.metrics.counter(
                     "records_discarded", instrument=instrument).inc(count)
 
+    def run_job(self, url: str, slot: ManagedBrowser,
+                callbacks: Optional[List[Callable]] = None
+                ) -> Dict[str, Any]:
+        """Run one queue job on *slot*; returns its resolution: the
+        outcome (``kind``, ``error``), the breaker state, and the
+        envelope of every row the attempt recorded. Thread and process
+        workers both hand this to a
+        :class:`~repro.sched.procpool.CrawlBroker`."""
+        try:
+            result = self.execute_command_sequence(
+                CommandSequence(url=url, callbacks=list(callbacks or [])),
+                slot=slot, propagate_hangs=True)
+            kind, error = COMPLETE, ""
+            if result is None:
+                # A given-up or quarantined site: its ledger row is in
+                # the envelope (or added on settle) — do not burn queue
+                # retries on it too.
+                kind = TERMINAL
+                error = "quarantined" if self.is_quarantined(url) \
+                    else "failure_limit"
+        except Exception as exc:
+            kind, error = RETRY, repr(exc)
+        return self._resolution(slot, url, kind, error)
+
+    def _resolution(self, slot: ManagedBrowser, url: str, kind: str,
+                    error: str) -> Dict[str, Any]:
+        return {"kind": kind, "error": error, "site_url": url,
+                "browser_id": slot.browser_id,
+                "quarantined": self.is_quarantined(url),
+                "failures": self._failures(url),
+                **slot.store.take_envelope()}
+
     # ------------------------------------------------------------------
     def get(self, url: str,
             callbacks: Optional[List[Callable]] = None,
             dwell_time: Optional[float] = None) -> None:
-        """Enqueue-and-run a GET command sequence for *url*."""
-        self.execute_command_sequence(CommandSequence(
-            url=url, callbacks=callbacks or [], dwell_time=dwell_time))
+        """Run a GET command sequence for *url*; its rows are in
+        ``storage`` when this returns (or raises)."""
+        slot = self._take_slot()
+        try:
+            self.execute_command_sequence(CommandSequence(
+                url=url, callbacks=callbacks or [], dwell_time=dwell_time),
+                slot=slot)
+        finally:
+            # No verdict to settle: the rows land as they are (unless an
+            # interrupt left the visit open).
+            if not slot.store.active_visits():
+                self.settle_visit(
+                    self._resolution(slot, url, COMPLETE, ""), PENDING)
+
+    def _take_slot(self) -> ManagedBrowser:
+        slot = self.browsers[self._next_slot]
+        self._next_slot = (self._next_slot + 1) % len(self.browsers)
+        return slot
 
     def execute_command_sequence(self, sequence: CommandSequence,
                                  slot: Optional[ManagedBrowser] = None,
@@ -429,11 +499,8 @@ class TaskManager:
         scheduled path, where the queue owns the retry).
         """
         if slot is None:
-            slot = self.browsers[self._next_slot]
-            self._next_slot = (self._next_slot + 1) % len(self.browsers)
-
-        slot.last_visit_id = None
-        slot.last_given_up_site = None
+            slot = self._take_slot()
+        store = slot.store
         tm = self.telemetry
         journal = tm.journal
         journal.emit("visit_start", url=sequence.url,
@@ -457,8 +524,8 @@ class TaskManager:
                 journal.emit("visit_attempt", url=sequence.url,
                              attempt=attempts)
                 try:
-                    context = self.storage.begin_visit(slot.browser_id,
-                                                       sequence.url)
+                    context = store.begin_visit(slot.browser_id,
+                                                sequence.url)
                 except sqlite3.OperationalError:
                     # Transient busy/locked before any side effect:
                     # nothing to clean up, just retry the attempt.
@@ -501,9 +568,8 @@ class TaskManager:
                         watch.check("storage_commit", started,
                                     sequence.url)
                     with tm.stage("storage_commit"):
-                        self.storage.end_visit(slot.browser_id)
+                        store.end_visit(slot.browser_id)
                     self._bundle_commit(slot, sequence.url, attempts)
-                    slot.last_visit_id = context.visit_id
                     journal.emit("visit_complete", url=sequence.url,
                                  attempts=attempts,
                                  visit_id=context.visit_id)
@@ -516,9 +582,9 @@ class TaskManager:
                     journal.emit("visit_crash", url=sequence.url,
                                  attempt=attempts)
                     tm.metrics.counter("visits_crashed").inc()
-                    self.storage.record_crash(slot.browser_id,
-                                              sequence.url, "crash")
-                    self.storage.end_visit(slot.browser_id)
+                    store.record_crash(slot.browser_id, sequence.url,
+                                       "crash")
+                    store.end_visit(slot.browser_id)
                     with tm.stage("browser_restart"):
                         self._restart_browser(slot, sequence.url)
                     give_up_reason = "failure_limit"
@@ -535,13 +601,12 @@ class TaskManager:
                     journal.emit("visit_hung", url=sequence.url,
                                  attempt=attempts)
                     tm.metrics.counter("visits_hung").inc()
-                    if slot.browser_id in self.storage.active_visits():
+                    if slot.browser_id in store.active_visits():
                         tm.metrics.counter("visits_aborted").inc()
                         self._count_discarded(
-                            self.storage.abort_visit(slot.browser_id))
-                    self.storage.record_crash(slot.browser_id,
-                                              sequence.url,
-                                              "watchdog_abort")
+                            store.abort_visit(slot.browser_id))
+                    store.record_crash(slot.browser_id, sequence.url,
+                                       "watchdog_abort")
                     with tm.stage("browser_restart"):
                         self._restart_browser(slot, sequence.url)
                     give_up_reason = "deadline"
@@ -562,8 +627,8 @@ class TaskManager:
                     journal.emit("visit_network_fault",
                                  url=sequence.url, attempt=attempts)
                     tm.metrics.counter("visits_network_faults").inc()
-                    if slot.browser_id in self.storage.active_visits():
-                        self.storage.end_visit(slot.browser_id)
+                    if slot.browser_id in store.active_visits():
+                        store.end_visit(slot.browser_id)
                     give_up_reason = "network_fault"
                 except Exception as exc:
                     # Unexpected fault: close the visit so the browser
@@ -573,16 +638,15 @@ class TaskManager:
                     journal.emit("visit_error", url=sequence.url,
                                  attempt=attempts, error=repr(exc))
                     tm.metrics.counter("visits_errored").inc()
-                    if slot.browser_id in self.storage.active_visits():
-                        self.storage.end_visit(slot.browser_id)
+                    if slot.browser_id in store.active_visits():
+                        store.end_visit(slot.browser_id)
                     raise
             tm.metrics.counter("visits_failed_exhausted").inc()
             visit_span.set_attribute("outcome", "failed_exhausted")
             visit_span.set_attribute("attempts", attempts)
             visit_span.set_status(f"error:{give_up_reason}")
-            if self._give_up(slot.browser_id, sequence.url, attempts,
-                             give_up_reason):
-                slot.last_given_up_site = sequence.url
+            self._record_given_up(slot, sequence.url, attempts,
+                                  give_up_reason)
             return None
 
     # ------------------------------------------------------------------
@@ -652,17 +716,22 @@ class TaskManager:
         """
         results: List[Optional[VisitResult]] = []
         for url in urls:
-            slot = self.browsers[self._next_slot]
-            self._next_slot = (self._next_slot + 1) % len(self.browsers)
+            slot = self._take_slot()
+            kind, error, result = COMPLETE, "", None
             try:
-                results.append(self.execute_command_sequence(
+                result = self.execute_command_sequence(
                     CommandSequence(url=url,
                                     callbacks=list(callbacks or [])),
-                    slot=slot))
+                    slot=slot)
+                if result is None:
+                    kind = TERMINAL
             except Exception as exc:
-                self._record_given_up(slot.browser_id, url, 1,
-                                      repr(exc))
-                results.append(None)
+                kind, error = TERMINAL, repr(exc)
+            resolution = self._resolution(slot, url, kind, error)
+            resolution["attempts"] = 1
+            self.settle_visit(resolution,
+                              COMPLETED if kind == COMPLETE else FAILED)
+            results.append(result)
         return results
 
     def crawl_scheduled(self, urls: List[str],
@@ -691,7 +760,7 @@ class TaskManager:
         With ``resume=True`` (requires a file-backed ``queue_path``)
         completed sites are skipped and only the remainder is visited.
         """
-        from repro.sched import CrawlScheduler, JobFailed
+        from repro.sched import CrawlBroker, CrawlScheduler
 
         if workers is None:
             workers = len(self.browsers)
@@ -705,42 +774,12 @@ class TaskManager:
             max_attempts=max_attempts, lease_seconds=lease_seconds,
             telemetry=self.telemetry)
         scheduler.enqueue(urls)
-
-        def handler(job: Any, worker_index: int) -> None:
-            slot = self.browsers[worker_index]
-            result = self.execute_command_sequence(
-                CommandSequence(url=job.site_url,
-                                callbacks=list(callbacks or [])),
-                slot=slot, propagate_hangs=True)
-            if result is None:
-                if self.is_quarantined(job.site_url):
-                    # The quarantined_sites row is the ledger entry.
-                    raise JobFailed("quarantined", retry=False)
-                # failure_limit already exhausted and the failed_visits
-                # row written — do not burn queue retries on it too.
-                raise JobFailed("failure_limit", retry=False)
-
-        def on_settled(job: Any, worker_index: int, state: str,
-                       error: str) -> None:
-            # The slot remembers what its latest attempt recorded; the
-            # record is consumed here, so a lease-expiry terminal this
-            # worker's next reclaim sweep settles cannot pick it up.
-            slot = self.browsers[worker_index]
-            visit_ids = [slot.last_visit_id] \
-                if slot.last_visit_id is not None else []
-            gave_up = slot.last_given_up_site == job.site_url
-            slot.last_visit_id = slot.last_given_up_site = None
-            self.settle_visit(
-                scheduler.queue, job.job_id, job.site_url, state, error,
-                browser_id=slot.browser_id, attempts=job.attempts,
-                visit_ids=visit_ids, gave_up=gave_up,
-                quarantined=self.is_quarantined(job.site_url))
-
         try:
             return scheduler.run(
-                handler, workers=workers,
-                stop_after_jobs=stop_after_jobs,
-                on_settled=on_settled,
+                lambda job, index: self.run_job(
+                    job.site_url, self.browsers[index], callbacks),
+                workers=workers, stop_after_jobs=stop_after_jobs,
+                broker=CrawlBroker(self, scheduler.queue, self.telemetry),
                 fault_plan=self.fault_plan)
         finally:
             scheduler.close()
@@ -750,4 +789,6 @@ class TaskManager:
         if self.telemetry.enabled:
             self.storage.persist_telemetry(self.telemetry.snapshot())
         self.telemetry.journal.flush()
+        for slot in self.browsers:
+            slot.store.close()
         self.storage.close()

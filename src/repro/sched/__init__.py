@@ -4,7 +4,8 @@ The subsystem the large-scale crawls (Tranco-100K incidence study,
 Sec. 4) run on: a SQLite-backed job queue with lease-based claiming and
 deterministic retry backoff (:mod:`repro.sched.jobs`), a thread worker
 pool where each worker owns one browser slot (:mod:`repro.sched.pool`),
-the one routine that settles every job outcome against the queue
+the one routine that settles every job outcome against the queue and
+the job-id-ordered broker both pools hand their resolutions to
 (:mod:`repro.sched.settle`),
 the checkpoint/resume orchestration tying them together
 (:mod:`repro.sched.scheduler`), and a process-isolated worker pool with
@@ -24,7 +25,7 @@ from repro.sched.jobs import (
     ReclaimResult,
     jitter_fraction,
 )
-from repro.sched.pool import JobFailed, PoolReport, SettledHook, WorkerPool
+from repro.sched.pool import JobFailed, PoolReport, WorkerPool
 from repro.sched.procpool import (
     CrawlBroker,
     ProcessPool,
@@ -36,7 +37,7 @@ from repro.sched.procpool import (
     run_process_scan,
 )
 from repro.sched.scheduler import CrawlReport, CrawlScheduler
-from repro.sched.settle import LOST
+from repro.sched.settle import LOST, Broker
 
 __all__ = [
     "COMPLETED",
@@ -50,7 +51,6 @@ __all__ = [
     "jitter_fraction",
     "JobFailed",
     "PoolReport",
-    "SettledHook",
     "WorkerPool",
     "CrawlReport",
     "CrawlScheduler",
@@ -63,4 +63,5 @@ __all__ = [
     "run_process_crawl",
     "run_process_scan",
     "LOST",
+    "Broker",
 ]

@@ -31,7 +31,7 @@ import hashlib
 import sqlite3
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.obs.clock import VirtualClock
 
@@ -243,17 +243,17 @@ class JobQueue:
                 f"for reclaim")
         return row
 
-    def complete(self, job_id: int, owner: str) -> None:
+    def complete(self, job_id: int, owner: str,
+                 stage: Optional[Callable[[str], Any]] = None) -> None:
         """Mark a leased job done. Raises :class:`LeaseError` if lost.
 
         Unlike :meth:`fail`, a *late* completion is accepted even after
         the lease expired, as long as nobody else has taken the job: a
         worker calling ``complete`` is demonstrably alive and its visit
-        data is already committed, so voiding the result would only
-        force a duplicate re-run of work that succeeded. (Expiry here
-        is usually collateral — on the shared virtual clock another
-        worker's hang can burn this worker's lease away mid-visit.)
-        Two states qualify:
+        succeeded, so voiding the result would only force a duplicate
+        re-run. (Expiry here is usually collateral — on the shared
+        virtual clock another worker's hang can burn this worker's
+        lease away mid-visit.) Two states qualify:
 
         * still ``leased`` to *owner* (no reclaim happened yet), or
         * requeued as ``pending`` by :meth:`reclaim_expired` but not
@@ -261,52 +261,97 @@ class JobQueue:
 
         Only when another worker holds — or already finished — the job
         does the late completion lose: :class:`LeaseError` is raised
-        and the caller must discard its committed visit data.
+        and the attempt's records must never reach the crawl data.
+
+        ``stage(state)`` runs after the lease check passed and before
+        the transition commits (see :meth:`_commit_staged`).
         """
         with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE job_id = ?", (job_id,)).fetchone()
-            still_mine = (row is not None and row["status"] == LEASED
-                          and row["lease_owner"] == owner)
-            requeued_unclaimed = (row is not None
-                                  and row["status"] == PENDING
-                                  and row["last_error"] == "lease_expired")
-            if not (still_mine or requeued_unclaimed):
+            cursor = self._conn.execute(
+                "UPDATE jobs SET status = ?, finished_at = ?, "
+                "lease_owner = NULL, lease_expires_at = NULL "
+                "WHERE job_id = ? AND ((status = ? AND lease_owner = ?) "
+                "OR (status = ? AND last_error = 'lease_expired'))",
+                (COMPLETED, self.clock.peek(), job_id, LEASED, owner,
+                 PENDING))
+            if cursor.rowcount == 0:
+                self._conn.rollback()
+                row = self._conn.execute(
+                    "SELECT status, lease_owner FROM jobs "
+                    "WHERE job_id = ?", (job_id,)).fetchone()
                 raise LeaseError(
                     f"job {job_id} completion by {owner!r} lost the race "
                     f"(status={row['status'] if row else 'missing'!r}, "
                     f"owner={row['lease_owner'] if row else None!r})")
-            self._conn.execute(
-                "UPDATE jobs SET status = ?, finished_at = ?, "
-                "lease_owner = NULL, lease_expires_at = NULL "
-                "WHERE job_id = ?", (COMPLETED, self.clock.peek(), job_id))
-            self._conn.commit()
+            self._commit_staged(stage, COMPLETED)
 
     def fail(self, job_id: int, owner: str, error: str = "",
-             retry: bool = True) -> str:
+             retry: bool = True,
+             stage: Optional[Callable[[str], Any]] = None) -> str:
         """Record a failed attempt; re-queue with backoff or go terminal.
 
         Returns the job's resulting state (``pending`` or ``failed``).
+        ``stage(state)`` runs as for :meth:`complete`.
         """
         with self._lock:
             row = self._checked_lease(job_id, owner)
+            now = self.clock.peek()
             if retry and row["attempts"] < row["max_attempts"]:
                 delay = self.retry_delay(row["site_url"], row["attempts"])
-                self._conn.execute(
-                    "UPDATE jobs SET status = ?, not_before = ?, "
-                    "lease_owner = NULL, lease_expires_at = NULL, "
-                    "last_error = ? WHERE job_id = ?",
-                    (PENDING, self.clock.peek() + delay, error, job_id))
-                state = PENDING
+                state, not_before, finished_at = PENDING, now + delay, None
             else:
-                self._conn.execute(
-                    "UPDATE jobs SET status = ?, finished_at = ?, "
-                    "lease_owner = NULL, lease_expires_at = NULL, "
-                    "last_error = ? WHERE job_id = ?",
-                    (FAILED, self.clock.peek(), error, job_id))
-                state = FAILED
-            self._conn.commit()
+                state, not_before, finished_at = \
+                    FAILED, row["not_before"], now
+            cursor = self._conn.execute(
+                "UPDATE jobs SET status = ?, not_before = ?, "
+                "finished_at = ?, lease_owner = NULL, "
+                "lease_expires_at = NULL, last_error = ? "
+                "WHERE job_id = ? AND status = ? AND lease_owner = ?",
+                (state, not_before, finished_at, error, job_id, LEASED,
+                 owner))
+            if cursor.rowcount == 0:
+                self._conn.rollback()
+                raise LeaseError(f"job {job_id} is no longer leased to "
+                                 f"{owner!r}")
+            self._commit_staged(stage, state)
             return state
+
+    def _commit_staged(self, stage: Optional[Callable[[str], Any]],
+                       state: str) -> None:
+        """Commit a settling transition, running *stage* first.
+
+        The conditional update above holds the queue's write lock (and,
+        in-process, ``self._lock``), so no claimant can take the job
+        between the lease check and the commit. Whatever *stage*
+        writes — an attempt's crawl rows — is therefore durable before
+        the queue says the job settled: a crash in between leaves at
+        worst a duplicate for ``--resume`` to re-run, never a loss. An
+        exception from *stage* rolls the transition back.
+        """
+        if stage is not None:
+            try:
+                stage(state)
+            except BaseException:
+                self._conn.rollback()
+                raise
+        self._conn.commit()
+
+    def hold(self, job_id: int, owner: str) -> bool:
+        """Stop *owner*'s lease on a job from expiring.
+
+        For an attempt that has finished but waits for its turn to be
+        settled in job-id order: neither reclaim sweep takes the job
+        (a held lease has no expiry), and the pool does not count it as
+        a live lease when it jumps idle virtual time. Returns False
+        when *owner* no longer holds the job.
+        """
+        with self._lock:
+            cursor = self._conn.execute(
+                "UPDATE jobs SET lease_expires_at = NULL "
+                "WHERE job_id = ? AND status = ? AND lease_owner = ?",
+                (job_id, LEASED, owner))
+            self._conn.commit()
+            return cursor.rowcount > 0
 
     # ------------------------------------------------------------------
     # Crash safety
@@ -319,38 +364,8 @@ class JobQueue:
         ``failed_jobs`` so the caller can record the loss.
         """
         with self._lock:
-            now = self.clock.peek()
-            rows = self._conn.execute(
-                "SELECT job_id, site_url, attempts, max_attempts, "
-                "enqueued_at, claimed_at, lease_owner "
-                "FROM jobs WHERE status = ? AND lease_expires_at < ?",
-                (LEASED, now)).fetchall()
-            result = ReclaimResult()
-            for row in rows:
-                if row["attempts"] < row["max_attempts"]:
-                    delay = self.retry_delay(row["site_url"],
-                                             row["attempts"])
-                    self._conn.execute(
-                        "UPDATE jobs SET status = ?, not_before = ?, "
-                        "lease_owner = NULL, lease_expires_at = NULL, "
-                        "last_error = 'lease_expired' WHERE job_id = ?",
-                        (PENDING, now + delay, row["job_id"]))
-                    result.requeued += 1
-                else:
-                    self._conn.execute(
-                        "UPDATE jobs SET status = ?, finished_at = ?, "
-                        "lease_owner = NULL, lease_expires_at = NULL, "
-                        "last_error = 'lease_expired' WHERE job_id = ?",
-                        (FAILED, now, row["job_id"]))
-                    result.failed_jobs.append(Job(
-                        job_id=row["job_id"], site_url=row["site_url"],
-                        attempts=row["attempts"],
-                        enqueued_at=row["enqueued_at"],
-                        claimed_at=row["claimed_at"] or 0.0,
-                        lease_owner=row["lease_owner"] or ""))
-            if rows:
-                self._conn.commit()
-            return result
+            return self._release("lease_expires_at < ?",
+                                 (self.clock.peek(),))
 
     def release_owner(self, owner: str) -> ReclaimResult:
         """Release every lease held by one *known-dead* worker process.
@@ -364,38 +379,41 @@ class JobQueue:
         ``failed`` and are returned so the caller can record the loss.
         """
         with self._lock:
-            now = self.clock.peek()
-            rows = self._conn.execute(
-                "SELECT job_id, site_url, attempts, max_attempts, "
-                "enqueued_at, claimed_at, lease_owner "
-                "FROM jobs WHERE status = ? AND lease_owner = ?",
-                (LEASED, owner)).fetchall()
-            result = ReclaimResult()
-            for row in rows:
-                if row["attempts"] < row["max_attempts"]:
-                    delay = self.retry_delay(row["site_url"],
-                                             row["attempts"])
-                    self._conn.execute(
-                        "UPDATE jobs SET status = ?, not_before = ?, "
-                        "lease_owner = NULL, lease_expires_at = NULL, "
-                        "last_error = 'lease_expired' WHERE job_id = ?",
-                        (PENDING, now + delay, row["job_id"]))
-                    result.requeued += 1
-                else:
-                    self._conn.execute(
-                        "UPDATE jobs SET status = ?, finished_at = ?, "
-                        "lease_owner = NULL, lease_expires_at = NULL, "
-                        "last_error = 'lease_expired' WHERE job_id = ?",
-                        (FAILED, now, row["job_id"]))
-                    result.failed_jobs.append(Job(
-                        job_id=row["job_id"], site_url=row["site_url"],
-                        attempts=row["attempts"],
-                        enqueued_at=row["enqueued_at"],
-                        claimed_at=row["claimed_at"] or 0.0,
-                        lease_owner=row["lease_owner"] or ""))
-            if rows:
-                self._conn.commit()
-            return result
+            return self._release("lease_owner = ?", (owner,))
+
+    def _release(self, where: str, params: tuple) -> ReclaimResult:
+        """Requeue (or, out of attempts, fail) the leased jobs matching
+        *where*. Caller holds ``self._lock``."""
+        now = self.clock.peek()
+        rows = self._conn.execute(
+            "SELECT job_id, site_url, attempts, max_attempts, "
+            "enqueued_at, claimed_at, lease_owner "
+            f"FROM jobs WHERE status = ? AND {where}",  # noqa: S608
+            (LEASED,) + params).fetchall()
+        result = ReclaimResult()
+        for row in rows:
+            if row["attempts"] < row["max_attempts"]:
+                delay = self.retry_delay(row["site_url"], row["attempts"])
+                status, not_before, finished_at = PENDING, now + delay, None
+                result.requeued += 1
+            else:
+                status, not_before, finished_at = FAILED, None, now
+                result.failed_jobs.append(Job(
+                    job_id=row["job_id"], site_url=row["site_url"],
+                    attempts=row["attempts"],
+                    enqueued_at=row["enqueued_at"],
+                    claimed_at=row["claimed_at"] or 0.0,
+                    lease_owner=row["lease_owner"] or ""))
+            self._conn.execute(
+                "UPDATE jobs SET status = ?, "
+                "not_before = COALESCE(?, not_before), "
+                "finished_at = COALESCE(?, finished_at), "
+                "lease_owner = NULL, lease_expires_at = NULL, "
+                "last_error = 'lease_expired' WHERE job_id = ?",
+                (status, not_before, finished_at, row["job_id"]))
+        if rows:
+            self._conn.commit()
+        return result
 
     def release_leases(self) -> int:
         """Release *every* lease (start-of-resume crash recovery).
@@ -452,13 +470,16 @@ class JobQueue:
         claimed (and no lease can start ticking) between "nothing is
         leased" and the advance, and concurrent idle workers cannot
         stack advances: the first one moves time, the rest re-check and
-        find either a ready job or a live lease. Returns True only when
-        the clock actually moved (a :class:`WallClock` advance is a
-        no-op — callers must then fall back to a real sleep).
+        find either a ready job or a live lease. A held lease
+        (:meth:`hold`) is not live: its attempt is over. Returns True
+        only when the clock actually moved (a :class:`WallClock`
+        advance is a no-op — callers must then fall back to a real
+        sleep).
         """
         with self._lock:
             leased = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM jobs WHERE status = ?",
+                "SELECT COUNT(*) AS n FROM jobs WHERE status = ? "
+                "AND lease_expires_at IS NOT NULL",
                 (LEASED,)).fetchone()["n"]
             if leased:
                 return False

@@ -15,11 +15,11 @@ requested. Design points:
   path.
 * **Crash-safe leases.** Before claiming, workers reclaim expired
   leases, so a site stranded by a dead worker is re-run by a live one.
-* **One settle routine.** Every outcome — the handler's verdict and
-  each lease-expiry terminal a reclaim sweep finds — is booked by
-  :func:`repro.sched.settle.settle`, the same routine the process
-  brokers use; the application hears about it through one
-  ``on_settled`` hook.
+* **One settle path.** Every outcome — the handler's resolution and
+  each lease-expiry terminal a reclaim sweep finds — goes to a
+  :class:`~repro.sched.settle.Broker`, exactly as the process pool's
+  workers ship theirs: finals settle in job-id order, and the broker
+  is the only place the application's records reach its store.
 * **Virtual time.** When every runnable job is backing off and no
   leases are outstanding, the pool advances the (virtual) clock to the
   next retry time instead of spinning; with a real clock the advance is
@@ -34,35 +34,25 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.telemetry import Telemetry, coalesce
-from repro.sched.jobs import COMPLETED, FAILED, Job, JobQueue
+from repro.sched.jobs import Job, JobQueue
 from repro.sched.settle import (
     COMPLETE,
-    LEASE_EXPIRED,
-    RECLAIMED,
     RETRY,
     TERMINAL,
+    Broker,
     SettleTally,
     record_reclaim,
-    settle,
 )
 
-#: handler(job, worker_index) -> result. Raise to fail the job:
+#: handler(job, worker_index) -> resolution. Return None, or a dict
+#: payload for the broker (it may set its own ``kind`` and ``error``;
+#: the default is a completion). Raise to fail the job:
 #: :class:`JobFailed` controls retry explicitly; any other exception is
 #: treated as a transient worker fault and retried with backoff.
-JobHandler = Callable[[Job, int], Any]
-
-#: on_settled(job, worker_index, state, error) — invoked after every
-#: settled outcome, so the application can keep its own records in
-#: sync with the queue. *state* is ``completed``, ``failed``,
-#: ``pending`` (sent back for retry) or ``lost``: the verdict was voided
-#: by a lost lease and a live worker re-runs the job, so whatever this
-#: attempt recorded must be discarded. A ``failed`` job a reclaim sweep
-#: found is reported on the sweeping worker's index with error
-#: ``lease_expired``.
-SettledHook = Callable[[Job, int, str, str], None]
+JobHandler = Callable[[Job, int], Optional[Dict[str, Any]]]
 
 
 class JobFailed(RuntimeError):
@@ -99,7 +89,7 @@ class WorkerPool:
                  telemetry: Optional[Telemetry] = None,
                  poll_seconds: float = 0.005,
                  name: str = "worker",
-                 on_settled: Optional[SettledHook] = None,
+                 broker: Optional[Broker] = None,
                  fault_plan: Optional[Any] = None
                  ) -> None:
         if workers < 1:
@@ -110,7 +100,8 @@ class WorkerPool:
         self.telemetry = coalesce(telemetry)
         self.poll_seconds = poll_seconds
         self.name = name
-        self.on_settled = on_settled
+        self.broker = broker if broker is not None \
+            else Broker(queue, self.telemetry)
         self.fault_plan = fault_plan
         if fault_plan is not None and fault_plan.clock is None:
             fault_plan.bind_clock(queue.clock)
@@ -133,6 +124,7 @@ class WorkerPool:
         """
         self._stop.clear()
         self._report = PoolReport(workers=self.workers)
+        self.broker.tally = SettleTally()
         self._stop_after = stop_after_jobs
         self._publish_depth()
         if self.workers == 1:
@@ -155,10 +147,18 @@ class WorkerPool:
                 self.request_stop()
                 for thread in threads:
                     thread.join()
+        # Finals still waiting for a lower job id (one stuck in retry
+        # backoff at a stop) land now; the gaps stay for --resume.
+        self.broker.flush()
+        tally = self.broker.tally
+        report = self._report
+        report.completed, report.failed = tally.completed, tally.failed
+        report.retried, report.lease_lost = tally.retried, tally.lease_lost
+        report.errors.extend(tally.errors)
         if self._stop.is_set() and self.queue.outstanding() > 0:
-            self._report.interrupted = True
+            report.interrupted = True
         self._publish_depth()
-        return self._report
+        return report
 
     # ------------------------------------------------------------------
     def _worker_loop(self, index: int) -> None:
@@ -184,8 +184,7 @@ class WorkerPool:
         while not self._stop.is_set():
             reclaimed = record_reclaim(
                 self.telemetry, owner, self.queue.reclaim_expired(),
-                lambda dead: self._settle(dead, index, RECLAIMED,
-                                          LEASE_EXPIRED))
+                self.broker.finalize_reclaimed)
             if reclaimed:
                 with report.lock:
                     report.reclaimed += reclaimed
@@ -223,43 +222,42 @@ class WorkerPool:
                 report.claims += 1
             try:
                 try:
-                    self.handler(job, index)
-                    outcome, error = COMPLETE, ""
+                    resolution = {"kind": COMPLETE, "error": "",
+                                  **(self.handler(job, index) or {})}
                 except JobFailed as failure:
-                    outcome = RETRY if failure.retry else TERMINAL
-                    error = failure.reason
+                    resolution = {"kind": RETRY if failure.retry
+                                  else TERMINAL, "error": failure.reason}
                 except Exception as exc:  # transient worker fault
-                    outcome, error = RETRY, repr(exc)
-                state = self._settle(job, index, outcome, error)
+                    resolution = {"kind": RETRY, "error": repr(exc)}
+                self._hand_over({
+                    **resolution, "job_id": job.job_id,
+                    "site_url": job.site_url, "owner": job.lease_owner,
+                    "attempts": job.attempts})
             finally:
                 busy.dec()
                 lease_duration.observe(
                     self.queue.clock.peek() - job.claimed_at)
                 self._publish_depth()
-            if state in (COMPLETED, FAILED):
-                self._check_stop_after()
+            self._check_stop_after()
 
-    def _settle(self, job: Job, index: int, outcome: str,
-                error: str) -> str:
-        state = settle(self.queue, self.telemetry, self._report,
-                       job.job_id, job.site_url, job.lease_owner,
-                       outcome, error)
-        if self.on_settled is not None:
-            try:
-                self.on_settled(job, index, state, error)
-            except Exception as hook_exc:
-                # A broken application hook must not kill the worker
-                # loop: the queue's verdict already stands.
-                with self._report.lock:
-                    self._report.errors.append(
-                        f"on_settled: {hook_exc!r}")
-        return state
+    def _hand_over(self, message: Dict[str, Any]) -> None:
+        try:
+            self.broker.handle_resolution(message)
+        except Exception as exc:
+            # The broker could not write what it settles. Its queue
+            # transition rolled back with it, so the job stays leased
+            # for --resume; stop rather than claim more work.
+            with self._report.lock:
+                self._report.errors.append(
+                    f"{message['site_url']}: broker: {exc!r}")
+            self._stop.set()
 
     def _check_stop_after(self) -> None:
         if self._stop_after is None:
             return
-        with self._report.lock:
-            done = self._report.completed + self._report.failed
+        tally = self.broker.tally
+        with tally.lock:
+            done = tally.completed + tally.failed
         if done >= self._stop_after:
             self._stop.set()
 

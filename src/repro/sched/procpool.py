@@ -8,11 +8,12 @@ thread (and the GIL) forever. This module gives the watchdog teeth:
   worker-local in-memory :class:`StorageController`;
 * workers claim jobs from the shared SQLite :class:`JobQueue` (WAL mode
   + busy timeout, wall-clock leases valid across processes);
-* every record a job produced is exported from the worker database and
-  shipped over a pipe to the coordinator's **storage broker** — the one
-  and only writer of the crawl database, so SQLite never sees
-  concurrent writers and the lease-retraction semantics of the thread
-  path keep working unchanged;
+* every row a job attempt recorded travels as one envelope
+  (:meth:`~repro.openwpm.task_manager.TaskManager.run_job`) over a pipe
+  to the coordinator's :class:`CrawlBroker` — the same broker a thread
+  crawl settles through, and the one and only writer of the crawl
+  database, so SQLite never sees concurrent writers and a voided
+  attempt's envelope is dropped before it reaches the database;
 * the broker applies *final* job resolutions in strict job-id order, so
   a clean N-process crawl lands byte-identical visit ids and row order
   to the 1-worker inline path;
@@ -53,17 +54,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.clock import WallClock
 from repro.obs.telemetry import Telemetry, coalesce
-from repro.sched.jobs import FAILED, Job, JobQueue
+from repro.sched.jobs import COMPLETED, Job, JobQueue
 from repro.sched.settle import (
     COMPLETE,
-    LEASE_EXPIRED,
     LOST,
-    RECLAIMED,
     RETRY,
-    TERMINAL,
+    Broker,
     SettleTally,
     record_reclaim,
-    settle,
 )
 
 #: Real seconds a worker may stay silent before the supervisor SIGKILLs
@@ -370,7 +368,6 @@ def _serve_claims(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
 def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                       journal: Any) -> None:
     from repro.openwpm.task_manager import TaskManager
-    from repro.sched.pool import JobFailed
 
     if spec.web == "tranco":
         from repro.web import build_world
@@ -383,78 +380,29 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
         network = make_lab_network()
 
     plan = _build_worker_plan(spec)
-    # Worker scratch databases are export buffers, never read paths:
-    # the coordinator's broker maintains the canonical rollups when it
-    # applies each envelope, so maintaining them here too would only
-    # burn CPU on aggregates nobody queries.
-    os.environ["REPRO_ROLLUPS"] = "off"
     manager = TaskManager(
         replace(spec.manager_params, num_browsers=1,
                 database_path=":memory:", fault_plan=plan),
         [spec.browser_params], network, telemetry=telemetry)
     faults = _ProcFaults(manager.fault_plan, conn, journal)
     faults.install_reporting()
-    storage = manager.storage
-
-    # Per-job export cursors into the worker-local database: everything
-    # past a cursor belongs to the job that just ran (including the
-    # partial visits a crashed attempt committed, exactly as inline).
-    visit_cursor = 0
-    content_cursor = 0
-    ledger_cursors = {"crash_history": 0, "failed_visits": 0,
-                      "quarantined_sites": 0}
+    slot = manager.browsers[0]
 
     def run_job(job: Job, heartbeat: _Heartbeat) -> Dict[str, Any]:
-        nonlocal visit_cursor, content_cursor
-        try:
-            result = _run_crawl_job(manager, faults, heartbeat, job)
-            if result is None:
-                if manager.is_quarantined(job.site_url):
-                    raise JobFailed("quarantined", retry=False)
-                raise JobFailed("failure_limit", retry=False)
-            kind, error = COMPLETE, ""
-        except JobFailed as failure:
-            kind = RETRY if failure.retry else TERMINAL
-            error = failure.reason
-        except Exception as exc:  # noqa: BLE001 - mirrors pool
-            kind, error = RETRY, repr(exc)
-        visits = []
-        for visit_id in storage.visit_ids_since(visit_cursor):
-            visits.append(storage.export_visit(visit_id))
-            visit_cursor = visit_id
-        content_cursor, content = \
-            storage.export_content_rows(content_cursor)
-        ledger: Dict[str, List[Tuple]] = {}
-        for table in ledger_cursors:
-            ledger_cursors[table], rows = \
-                storage.export_ledger_rows(table, ledger_cursors[table])
-            ledger[table] = rows
-        return {"kind": kind, "error": error,
-                "browser_id": spec.browser_params.browser_id,
-                "quarantined": manager.is_quarantined(job.site_url),
-                "visits": visits, "content": content, "ledger": ledger}
+        def mid_visit(browser: Any, result: Any) -> None:
+            # Runs at the visit.callbacks stage of every attempt: the
+            # natural place for a mid-visit SIGKILL (records exist, the
+            # envelope was never shipped) and for an in-visit heartbeat.
+            heartbeat.beat(force=True)
+            faults.check("proc.mid_visit", job.site_url)
+
+        return manager.run_job(job.site_url, slot, [mid_visit])
 
     try:
         _serve_claims(spec, conn, telemetry, journal, faults, run_job)
     finally:
-        storage.close()
-
-
-def _run_crawl_job(manager: Any, faults: _ProcFaults,
-                   heartbeat: _Heartbeat, job: Job) -> Any:
-    from repro.openwpm.task_manager import CommandSequence
-
-    def mid_visit(browser: Any, result: Any,
-                  url: str = job.site_url) -> None:
-        # Runs at the visit.callbacks stage of every attempt: the
-        # natural place for a mid-visit SIGKILL (records exist, the
-        # envelope was never shipped) and for an in-visit heartbeat.
-        heartbeat.beat(force=True)
-        faults.check("proc.mid_visit", url)
-
-    return manager.execute_command_sequence(
-        CommandSequence(url=job.site_url, callbacks=[mid_visit]),
-        slot=manager.browsers[0], propagate_hangs=True)
+        slot.store.close()
+        manager.storage.close()
 
 
 def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
@@ -511,176 +459,32 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
 
 
 # ----------------------------------------------------------------------
-# Coordinator side: ordered finalization
+# Coordinator side: the crawl broker
 # ----------------------------------------------------------------------
-class _Finalizer:
-    """Applies *final* job resolutions in strict job-id order.
+class CrawlBroker(Broker):
+    """The single writer of the crawl database, in every crawl mode.
 
-    The broker's guarantee that a clean N-process crawl produces the
-    same AUTOINCREMENT ids and row order as the inline path: a final
-    for job J waits until every job with a smaller id is finalized
-    (applied, terminal at startup for resumes, or terminal out-of-band
-    through a retry-exhaustion or reclaim). Apply callables return
-    True when the job is settled, False when its verdict was voided by
-    a lost lease (the re-run will produce another final)."""
-
-    def __init__(self, queue: JobQueue) -> None:
-        self.finalized: set = set()
-        for row in queue.job_rows():
-            if row["status"] in ("completed", "failed"):
-                self.finalized.add(int(row["job_id"]))
-        self.cursor = 1
-        #: job_id -> list of (owner, apply_fn) awaiting their turn.
-        self.buffer: Dict[int, List[Tuple[str, Callable[[], bool]]]] = {}
-        self._advance()
-
-    def _advance(self) -> None:
-        while self.cursor in self.finalized:
-            self.cursor += 1
-
-    def mark_terminal(self, job_id: int) -> None:
-        """A job went terminal outside the ordered path (immediate
-        retry-exhaustion or reclaim) — unblock the cursor."""
-        self.finalized.add(job_id)
-        self._advance()
-        self._drain()
-
-    def submit(self, job_id: int, owner: str,
-               apply_fn: Callable[[], bool]) -> None:
-        self.buffer.setdefault(job_id, []).append((owner, apply_fn))
-        self._drain()
-
-    def _drain(self) -> None:
-        while self.cursor in self.buffer:
-            pending = self.buffer[self.cursor]
-            _owner, apply_fn = pending.pop(0)
-            if not pending:
-                del self.buffer[self.cursor]
-            if apply_fn():
-                self.finalized.add(self.cursor)
-                self._advance()
-            else:
-                break  # voided; the winning attempt's final is coming
-
-    def force_owner(self, owner: str) -> None:
-        """Apply a dead worker's buffered finals out of order (its pipe
-        is drained, nothing more is coming; they must land before its
-        leases are released or the release would void them)."""
-        for job_id in sorted(self.buffer):
-            pending = self.buffer.get(job_id, [])
-            keep = []
-            for entry_owner, apply_fn in pending:
-                if entry_owner != owner or job_id in self.finalized:
-                    keep.append((entry_owner, apply_fn))
-                elif apply_fn():
-                    self.finalized.add(job_id)
-            if keep:
-                self.buffer[job_id] = keep
-            else:
-                self.buffer.pop(job_id, None)
-        self._advance()
-        self._drain()
-
-    def flush(self) -> None:
-        """Apply everything left, in job-id order (stop/abort path —
-        jobs in cursor gaps stay unresolved and resume re-runs them)."""
-        for job_id in sorted(self.buffer):
-            for _owner, apply_fn in self.buffer[job_id]:
-                if job_id not in self.finalized and apply_fn():
-                    self.finalized.add(job_id)
-        self.buffer.clear()
-        self._advance()
-
-
-# ----------------------------------------------------------------------
-# Coordinator side: the brokers
-# ----------------------------------------------------------------------
-class _Broker:
-    """Settles shipped resolutions against the queue, finals in job-id
-    order. Subclasses define ``_stage(message)``, which lands a
-    resolution's payload before the queue verdict, and
-    ``_settled(message, state, staged)``, which keeps or voids it."""
-
-    def __init__(self, queue: JobQueue, telemetry: Telemetry) -> None:
-        self.queue = queue
-        self.tm = coalesce(telemetry)
-        self.finalizer = _Finalizer(queue)
-        self.tally = SettleTally()
-
-    def handle_resolution(self, message: Dict[str, Any]) -> None:
-        if message["kind"] != RETRY:
-            self.finalizer.submit(
-                message["job_id"], message["owner"],
-                lambda: self._apply(message) != LOST)
-        elif self._apply(message) == FAILED:
-            # Retry exhaustion: terminal outside the ordered path.
-            self.finalizer.mark_terminal(message["job_id"])
-
-    def finalize_reclaimed(self, job: Job) -> None:
-        """Order the ledger entry of a job a reclaim made terminal."""
-        message = {"job_id": job.job_id, "site_url": job.site_url,
-                   "owner": "", "attempts": job.attempts,
-                   "kind": RECLAIMED, "error": LEASE_EXPIRED}
-        self.finalizer.submit(job.job_id, "",
-                              lambda: self._apply(message) != LOST)
-
-    def _apply(self, message: Dict[str, Any]) -> str:
-        staged = self._stage(message)
-        state = settle(self.queue, self.tm, self.tally, message["job_id"],
-                       message["site_url"], message["owner"],
-                       message["kind"], message["error"])
-        self._settled(message, state, staged)
-        return state
-
-
-class CrawlBroker(_Broker):
-    """The single writer of the crawl database.
-
-    Imports each envelope's records, then lets the task manager's
-    :meth:`~repro.openwpm.task_manager.TaskManager.settle_visit` — the
-    same ledger rules the thread path runs — keep or void them."""
+    Thread and process workers alike ship each attempt's envelope
+    (:meth:`~repro.openwpm.task_manager.TaskManager.run_job`). The
+    broker lands a standing verdict's envelope inside the queue
+    transition and drops a voided one; the task manager's
+    :meth:`~repro.openwpm.task_manager.TaskManager.settle_visit`
+    applies the ledger rules to both."""
 
     def __init__(self, manager: Any, queue: JobQueue,
                  telemetry: Telemetry) -> None:
         super().__init__(queue, telemetry)
         self.manager = manager
-        self.storage = manager.storage
 
-    def _stage(self, message: Dict[str, Any]) -> List[int]:
-        """Import the envelope; returns the coordinator visit ids."""
-        id_map: Dict[int, int] = {}
-        imported: List[int] = []
-        for visit in message.get("visits", []):
-            new_id = self.storage.import_visit(
-                visit["browser_id"], visit["site_url"],
-                visit["run_label"], visit["tables"])
-            id_map[visit["visit_id"]] = new_id
-            imported.append(new_id)
-        self.storage.import_content_rows(message.get("content", []))
-        ledger = message.get("ledger", {})
-        crash = [(row[0], id_map.get(row[1]), row[2], row[3])
-                 for row in ledger.get("crash_history", [])]
-        self.storage.import_ledger_rows("crash_history", crash)
-        failed_rows = ledger.get("failed_visits", [])
-        self.storage.import_ledger_rows("failed_visits", failed_rows)
-        self.storage.import_ledger_rows(
-            "quarantined_sites", ledger.get("quarantined_sites", []))
-        for row in failed_rows:
-            # Counters/journal were booked by the worker; the
-            # coordinator only mirrors the failed-sites roster (used by
-            # the bundle recorder's completeness check).
-            with self.manager._failed_sites_lock:
-                self.manager.failed_sites.append(row[1])
-        return imported
+    def _stage(self, message: Dict[str, Any], state: str) -> None:
+        self.manager.settle_visit(message, state)
 
     def _settled(self, message: Dict[str, Any], state: str,
-                 staged: List[int]) -> None:
-        self.manager.settle_visit(
-            self.queue, message["job_id"], message["site_url"], state,
-            message["error"], browser_id=message.get("browser_id", 0),
-            attempts=message["attempts"], visit_ids=staged,
-            gave_up=bool(message.get("ledger", {}).get("failed_visits")),
-            quarantined=bool(message.get("quarantined")))
+                 staged: Any) -> None:
+        if state == LOST:
+            self.manager.settle_visit(
+                message, LOST, completed_elsewhere=self.queue.job_status(
+                    message["job_id"]) == COMPLETED)
 
 
 # ----------------------------------------------------------------------
@@ -899,7 +703,7 @@ class ProcessPool:
         self.tm.journal.emit("proc_death", slot=slot.index,
                              owner=slot.owner, exitcode=exitcode,
                              deaths=slot.deaths)
-        self.broker.finalizer.force_owner(slot.owner)
+        self.broker.force_owner(slot.owner)
         self.report.reclaimed += record_reclaim(
             self.tm, slot.owner, self.queue.release_owner(slot.owner),
             self.broker.finalize_reclaimed)
@@ -1014,7 +818,7 @@ class ProcessPool:
                     self._reap(slot)
         # Apply whatever finals are still buffered, in job-id order;
         # unresolved jobs stay pending/leased and --resume re-runs them.
-        self.broker.finalizer.flush()
+        self.broker.flush()
         self._publish_depth()
         tally = self.broker.tally
         self.report.completed = tally.completed
@@ -1037,7 +841,7 @@ class ProcessPool:
 # ----------------------------------------------------------------------
 # Coordinator side: the scan broker
 # ----------------------------------------------------------------------
-class ScanBroker(_Broker):
+class ScanBroker(Broker):
     """Single writer of the scan corpus, sidecar store, and dataset."""
 
     def __init__(self, queue: JobQueue, corpus: Any, store: Any,
@@ -1047,10 +851,10 @@ class ScanBroker(_Broker):
         self.store = store
         self.dataset = dataset
 
-    def _stage(self, message: Dict[str, Any]) -> Any:
+    def _stage(self, message: Dict[str, Any], state: str) -> Any:
         """Stage a completed site's corpus rows and persist its
         evidence; returns ``(batch token, evidences)``."""
-        if message["kind"] != COMPLETE:
+        if state != COMPLETED:
             return None
         from repro.core.scan.results_store import evidence_from_dict
 
@@ -1068,9 +872,8 @@ class ScanBroker(_Broker):
         batch.commit()
         self.corpus.import_analysis_cache(
             [tuple(row) for row in message.get("analysis", [])])
-        # Persist before completing, so 'completed in queue' always
-        # implies 'evidence on disk' — same invariant as the inline
-        # handler.
+        # Persist before the completion commits, so 'completed in
+        # queue' always implies 'evidence on disk'.
         self.store.save(message["site_url"], evidences)
         return batch.token, evidences
 
@@ -1079,9 +882,6 @@ class ScanBroker(_Broker):
         if staged is None:
             return
         token, evidences = staged
-        if state == LOST:
-            self.corpus.drop_staged(token)
-            return
         from repro.core.scan.classify import classify_site
 
         domain = message["site_url"]

@@ -21,7 +21,8 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.sched.jobs import JobQueue
-from repro.sched.pool import JobHandler, PoolReport, SettledHook, WorkerPool
+from repro.sched.pool import JobHandler, PoolReport, WorkerPool
+from repro.sched.settle import Broker
 
 
 @dataclass
@@ -100,14 +101,15 @@ class CrawlScheduler:
     def run(self, handler: JobHandler, workers: int = 1,
             stop_after_jobs: Optional[int] = None,
             poll_seconds: float = 0.005,
-            on_settled: Optional[SettledHook] = None,
+            broker: Optional[Broker] = None,
             fault_plan: Optional[object] = None
             ) -> CrawlReport:
-        """Drain the queue through *handler* on N workers."""
+        """Drain the queue through *handler* on N workers, settling
+        every resolution through *broker*."""
         self._pool = WorkerPool(self.queue, handler, workers=workers,
                                 telemetry=self.telemetry,
                                 poll_seconds=poll_seconds,
-                                on_settled=on_settled,
+                                broker=broker,
                                 fault_plan=fault_plan)
         pool_report: PoolReport = self._pool.run(
             stop_after_jobs=stop_after_jobs)

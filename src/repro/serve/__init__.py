@@ -4,7 +4,7 @@ Three layers (see DESIGN.md):
 
 * :mod:`repro.serve.rollups` — incremental aggregation into
   read-optimized ``rollups_*`` tables, maintained in lock-step with
-  every raw-table mutation (including retractions) plus cold backfill
+  every raw-table mutation plus cold backfill
   (``build``) and differential verification (``verify``);
 * :mod:`repro.serve.aggregates` — canonical JSON payloads, each with a
   batch twin recomputed from the raw tables so served answers can be

@@ -15,11 +15,12 @@ lesson): the rollups are never trusted on faith. Every aggregate has a
 *batch twin* computed straight from the raw tables (:func:`batch_state`)
 and the differential harness pins the two byte-for-byte across live
 incremental maintenance, cold backfill (:func:`build`), resume, and
-retraction paths. The maintenance hooks mirror every mutation path of
-:class:`repro.openwpm.storage.StorageController` — including the
-retractions PR 3 introduced for lease races (``delete_visit``,
-``retract_failed_visits``, ``retract_quarantine``), which *decrement*
-rollups so a voided verdict disappears from served answers too.
+lease races. The maintenance hooks mirror every mutation path of
+:class:`repro.openwpm.storage.StorageController`. The crawl database
+is only ever appended to (a voided attempt's envelope is dropped
+before it is written), so the inverse hooks (``visit_retracted``,
+``failed_retracted``, ``quarantine_retracted``) have no caller in the
+crawl; they stay defined because ``perfbench`` wraps them by name.
 
 Table layout (``ROLLUP_SCHEMA_VERSION`` gates compatibility; all
 tables are WITHOUT ROWID with natural keys, so their physical content
@@ -424,8 +425,7 @@ class RollupMaintainer:
     def visit_retracted(self, visit_id: int) -> None:
         """Fold a doomed committed visit *out* before its rows go.
 
-        Called by ``delete_visit`` while the rows still exist; the
-        negative delta is derived from the database itself, through the
+        Must run while the rows still exist; the negative delta is derived from the database itself, through the
         same ``add_row`` accounting that folded the rows in — so the
         decrement is exactly the original increment.
         """
@@ -489,7 +489,7 @@ class RollupMaintainer:
         self._bump()
 
     def failed_retracted(self, site_url: str) -> None:
-        """Called *before* ``retract_failed_visits`` deletes the rows."""
+        """Must run *before* the site's failed_visits rows are deleted."""
         if not self._active():
             return
         rows = self.connection.execute(

@@ -146,7 +146,7 @@ class TestObservabilityCommands:
         code, out = run_cli(capsys, ["stats", "--db", journalled_db,
                                      "--json"])
         assert code == 0
-        assert out["schema_version"] == 3
+        assert out["schema_version"] == 4
         assert out["journal"]["directory"] == journalled_db + ".journal"
         assert out["journal"]["events"] > 0
         journal_checks = [c for c in out["reconciliation"]

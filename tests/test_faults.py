@@ -590,16 +590,6 @@ class TestLateCompletion:
         with pytest.raises(LeaseError):
             queue.fail(job.job_id, "w0", "boom")
 
-    def test_delete_visit_removes_committed_rows(self):
-        manager = make_manager(telemetry=Telemetry())
-        manager.crawl(URLS[:1])
-        visit = manager.storage.query("SELECT * FROM site_visits")[0]
-        discarded = manager.storage.delete_visit(visit["visit_id"])
-        assert set(discarded) == {"http_requests", "http_responses",
-                                  "javascript", "javascript_cookies"}
-        assert manager.storage.query("SELECT * FROM site_visits") == []
-        manager.close()
-
     def test_lost_race_discards_the_committed_copy(self, tmp_path):
         """End-to-end discard path: a saboteur re-leases the job while
         the visit is mid-flight, so the worker's ``complete`` loses,

@@ -213,39 +213,43 @@ class TestBatchedWrites:
         assert discarded["http_responses"] == 1
         assert storage.javascript_records() == []
 
-    def test_retracted_attempt_retracts_batched_rows(self, storage):
-        """Regression: an expired-lease retraction (delete_visit) must
-        remove rows the doomed attempt had only buffered, not just the
-        ones already flushed to SQLite."""
-        context = storage.begin_visit(1, "https://raced.test/")
-        storage.record_javascript("d", "s", "flushed", "get", "v")
-        storage.commit()                       # this row reaches SQLite
-        storage.record_javascript("d", "s", "buffered-1", "get", "v")
-        storage.record_cookie(
-            change_cause="added", host="raced.test", name="uid",
-            value="x", path="/", is_session=True, is_http_only=False,
-            expiry=None, first_party="raced.test", via_javascript=True)
-        assert storage.pending_row_count() == 2   # still in the buffers
-        storage.end_visit()
-        # The lease raced: the scheduler voids this committed visit.
-        discarded = storage.delete_visit(context.visit_id)
-        assert discarded["javascript"] == 2       # flushed AND batched
-        assert discarded["javascript_cookies"] == 1
+    def test_envelope_round_trips_and_empties_the_store(self, storage):
+        """A slot store hands over everything it recorded, once: the
+        crawl database lands it under its own visit ids, and the slot
+        store keeps nothing (its memory does not grow with the crawl)."""
+        storage.begin_visit(1, "https://crashed.test/")
+        storage.record_javascript("d", "s", "partial", "get", "v")
+        storage.record_crash(1, "https://crashed.test/", "crash")
+        storage.end_visit(1)
+        storage.begin_visit(1, "https://crashed.test/")
+        storage.record_javascript("d", "s", "sym", "get", "v")
+        storage.record_content("body", "https://crashed.test/a.js",
+                               "text/javascript")
+        storage.end_visit(1)
+        storage.record_failed_visit(1, "https://crashed.test/", 2, "x")
+        envelope = storage.take_envelope()
+        assert [v["visit_id"] for v in envelope["visits"]] == [1, 2]
+        assert storage.query("SELECT * FROM site_visits") == []
         assert storage.javascript_records() == []
-        assert storage.cookie_rows() == []
+        assert storage.query("SELECT * FROM crash_history") == []
+        assert storage.take_envelope()["visits"] == []
 
-    def test_unflushed_rows_retracted_before_any_commit(self, storage):
-        """Harder variant: nothing was ever flushed — delete_visit must
-        flush the buffers itself to count (and remove) those rows."""
-        context = storage.begin_visit(1, "https://raced.test/")
-        storage.record_javascript("d", "s", "only-buffered", "get", "v")
-        assert storage.pending_row_count() == 1
-        discarded = storage.delete_visit(context.visit_id)
-        assert discarded["javascript"] == 1
-        # The context is still active (delete_visit targets committed
-        # visits); abort to clean up.
-        storage.abort_visit(1)
-        assert storage.javascript_records() == []
+        crawl = StorageController(":memory:")
+        crawl.record_envelope(**envelope)
+        crawl.record_envelope(**envelope)
+        visits = crawl.query("SELECT visit_id FROM site_visits")
+        assert [row["visit_id"] for row in visits] == [1, 2, 3, 4]
+        crashes = crawl.query("SELECT visit_id FROM crash_history")
+        assert [row["visit_id"] for row in crashes] == [1, 3]
+        assert len(crawl.javascript_records(visit_id=4)) == 1
+        assert len(crawl.query("SELECT * FROM content")) == 1  # deduped
+        assert len(crawl.failed_visit_rows()) == 2
+        crawl.close()
+
+    def test_envelope_refused_mid_visit(self, storage):
+        storage.begin_visit(1, "https://open.test/")
+        with pytest.raises(VisitStateError):
+            storage.take_envelope()
 
     def test_close_flushes_pending_rows(self, tmp_path):
         path = str(tmp_path / "batched.sqlite")

@@ -31,7 +31,7 @@ from repro.obs.runner import run_telemetry_crawl
 from repro.obs.stats import build_crawl_report, render_crawl_report
 from repro.obs.telemetry import Telemetry
 from repro.sched import JobQueue, diff_snapshots
-from repro.sched.procpool import _Finalizer
+from repro.sched.settle import _Finalizer
 
 #: Tables whose bytes legitimately differ between runs: telemetry row
 #: counts depend on scheduling, and sqlite_sequence tracks the

@@ -10,6 +10,7 @@ from repro.sched import (
     LEASED,
     LOST,
     PENDING,
+    Broker,
     CrawlScheduler,
     JobFailed,
     JobQueue,
@@ -305,28 +306,30 @@ class TestWorkerPool:
         assert report.interrupted
         assert queue.counts()[PENDING] == len(SITES) - 2
 
-    def test_on_settled_hook_fires_once_per_attempt(self):
+    def test_broker_settles_once_per_attempt(self):
         queue = JobQueue(max_attempts=2, backoff_base=0.01)
         queue.enqueue(SITES[:1])
         seen = []
 
+        class Recording(Broker):
+            def _settled(self, message, state, staged):
+                seen.append((message["site_url"], state, message["error"]))
+
         def handler(job, index):
             raise RuntimeError("boom")
 
-        report = WorkerPool(
-            queue, handler, workers=1,
-            on_settled=lambda job, index, state, error:
-            seen.append((job.site_url, state, error, index))).run()
+        report = WorkerPool(queue, handler, workers=1,
+                            broker=Recording(queue, None)).run()
         assert report.retried == 1
         assert report.failed == 1
         # One call per settled attempt: the retry, then the terminal.
-        assert [state for _, state, _, _ in seen] == [PENDING, FAILED]
+        assert [state for _, state, _ in seen] == [PENDING, FAILED]
         assert all(url == SITES[0] and "boom" in error
-                   for url, _, error, _ in seen)
+                   for url, _, error in seen)
         assert report.errors == [f"{SITES[0]}: {seen[-1][2]}"]
 
     @pytest.mark.parametrize("state", [COMPLETED, FAILED, LOST])
-    def test_on_settled_hook_errors_are_contained(self, state):
+    def test_broker_errors_stop_the_pool(self, state):
         queue = JobQueue(max_attempts=2)
         queue.enqueue(SITES[:2])
         stolen = []
@@ -336,7 +339,7 @@ class TestWorkerPool:
                 raise JobFailed("nope", retry=False)
             if state == LOST and not stolen:
                 # Hand the lease to an intruder, already expired: this
-                # worker's completion loses and a reclaim re-runs it.
+                # worker's completion loses.
                 stolen.append(job.job_id)
                 with queue._lock:
                     queue._conn.execute(
@@ -345,17 +348,24 @@ class TestWorkerPool:
                         (job.job_id,))
                     queue._conn.commit()
 
-        def hook(job, index, settled, error):
-            if settled == state:
-                raise ValueError("ledger write blew up")
+        class Failing(Broker):
+            def _stage(self, message, settled):
+                if settled == state:
+                    raise ValueError("ledger write blew up")
+
+            def _settled(self, message, settled, staged):
+                if settled == state:
+                    raise ValueError("ledger write blew up")
 
         report = WorkerPool(queue, handler, workers=1,
-                            on_settled=hook).run()
-        # A broken ledger hook must not kill the worker loop.
-        assert report.completed + report.failed == 2
-        assert queue.outstanding() == 0
-        assert report.lease_lost == (1 if state == LOST else 0)
+                            broker=Failing(queue, None)).run()
+        # A broken broker must not kill the worker loop: the pool stops
+        # and the job it could not settle stays leased for --resume.
+        assert report.interrupted
         assert any("ledger write blew up" in e for e in report.errors)
+        assert queue.counts()[LEASED] == 1
+        assert report.completed + report.failed == 0
+        assert report.lease_lost == (1 if state == LOST else 0)
 
     def test_worker_indexes_within_bounds(self):
         queue = JobQueue()

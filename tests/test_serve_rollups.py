@@ -137,47 +137,27 @@ class TestIncrementalAccounting:
         assert verify(storage.connection)["ok"]
         storage.close()
 
-    def test_delete_visit_retracts_the_whole_delta(self):
+    def test_recorded_envelope_folds_like_a_live_visit(self):
+        slot = StorageController(":memory:", rollups=False)
+        visit(slot, js=["navigator.webdriver"], cookies=2, requests=3)
+        slot.record_crash(0, SITE, "crash")
+        slot.record_failed_visit(0, SITE, 3, "crash_loop")
+        slot.record_quarantine(SITE, 3, "crash_loop")
+        live = StorageController(":memory:")
+        visit(live, js=["navigator.webdriver"], cookies=2, requests=3)
+        live.record_crash(0, SITE, "crash")
+        live.record_failed_visit(0, SITE, 3, "crash_loop")
+        live.record_quarantine(SITE, 3, "crash_loop")
+
         storage = StorageController(":memory:")
-        visit(storage, js=["navigator.webdriver"], cookies=2,
-              requests=3)
-        visit(storage, site=SITE + "x", js=["screen.width"])
-        gen_before = storage.rollups.generation()
-
-        deleted = storage.delete_visit(1)
-        assert deleted["javascript"] == 1
-        assert deleted["javascript_cookies"] == 2
-        assert deleted["http_requests"] == 3
-        # The site's rollup row zeroed out and was removed; the other
-        # site's aggregates are untouched; symbols decremented away.
-        assert storage.query(
-            "SELECT * FROM rollups_sites WHERE site_url = ?",
-            (SITE,)) == []
-        assert site_counter(storage, "visits", SITE + "x") == 1
-        assert storage.query(
-            "SELECT * FROM rollups_symbols "
-            "WHERE symbol = 'navigator.webdriver'") == []
-        assert storage.rollups.generation() > gen_before
+        assert storage.record_envelope(**slot.take_envelope()) == 1
         assert verify(storage.connection)["ok"]
-        storage.close()
-
-    def test_failed_and_quarantine_retraction(self):
-        storage = StorageController(":memory:")
-        storage.record_failed_visit(0, SITE, 3, "crash_loop")
-        storage.record_failed_visit(0, SITE, 3, "crash_loop")
-        storage.record_quarantine(SITE, 3, "crash_loop")
-        assert site_counter(storage, "failed") == 2
-        assert site_counter(storage, "quarantined") == 1
-        assert verify(storage.connection)["ok"]
-
-        assert storage.retract_failed_visits(SITE) == 2
-        assert storage.retract_quarantine(SITE) == 1
-        assert storage.query(
-            "SELECT * FROM rollups_sites WHERE site_url = ?",
-            (SITE,)) == []
-        assert storage.query("SELECT * FROM rollups_drop_reasons") == []
-        assert verify(storage.connection)["ok"]
-        storage.close()
+        for column in ("visits", "js_rows", "failed", "quarantined",
+                       "crashes", "webdriver_probes"):
+            assert site_counter(storage, column) \
+                == site_counter(live, column), column
+        for store in (slot, live, storage):
+            store.close()
 
     def test_content_rows_booked_once_despite_dedup(self):
         storage = StorageController(":memory:")

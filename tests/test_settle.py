@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from repro.obs.telemetry import Telemetry
 from repro.openwpm.task_manager import (
-    DISCARD_VISIT,
+    CLOSE_BREAKER,
+    DROP,
     GIVE_UP,
-    RETRACT_GIVEN_UP,
-    RETRACT_QUARANTINE,
+    QUARANTINE,
+    WRITE,
     visit_ledger_ops,
 )
 from repro.sched import COMPLETED, FAILED, PENDING, JobQueue, WorkerPool
@@ -151,45 +152,57 @@ WORLDS = list(worlds())
     ids=["-".join(str(part) for part in world) for world in WORLDS])
 @settings(max_examples=20, deadline=None)
 @given(residue=st.integers(min_value=0, max_value=3),
-       first_id=st.integers(min_value=1, max_value=10 ** 6))
+       tripped=st.booleans())
 def test_ledger_ops_settle_every_site_exactly_once(world, residue,
-                                                   first_id):
+                                                   tripped):
     outcome, state, committed, gave_up, quarantined, elsewhere = world
     if outcome == RECLAIMED:
         residue = 0  # no attempt of ours ran
-    # This attempt's visits: crashed partial ones, then the committed
-    # one. Another worker's completed copy has id 0.
-    own = list(range(first_id, first_id + residue + committed))
-    visits = {visit_id: committed and visit_id == own[-1]
-              for visit_id in own}
-    if elsewhere:
-        visits[0] = True
-    # A quarantine trip retracts any give-up row, so at most one stands.
-    failed_rows = int(gave_up and not quarantined)
+    # A trip ends the attempt as terminal, and gives nothing up; the
+    # breaker it opened stays open unless the job completed elsewhere.
+    tripped = tripped and outcome == TERMINAL and not gave_up \
+        and (quarantined or state == LOST)
+    # The database before this attempt settles: another worker's
+    # completed copy (id 0), if the job was completed elsewhere.
+    visits = {0: True} if elsewhere else {}
+    failed_rows = quarantine_rows = 0
+    breaker_open = quarantined
 
-    ops = visit_ledger_ops(state, "boom", own, gave_up, quarantined,
+    ops = visit_ledger_ops(state, "boom", gave_up, tripped, quarantined,
                            elsewhere)
+    assert ops[0] == ((DROP, None) if state == LOST else (WRITE, None))
     for op, arg in ops:
-        if op == DISCARD_VISIT:
-            assert arg in own
-            del visits[arg]
+        if op == WRITE:
+            # The envelope: crashed partial visits, the committed one,
+            # and the ledger row the attempt itself wrote.
+            visits.update({visit_id: committed and visit_id == residue + 1
+                           for visit_id in range(1, residue + 1
+                                                 + committed)})
+            failed_rows += gave_up
+            quarantine_rows += tripped
         elif op == GIVE_UP:
             assert arg == "boom"
             failed_rows += 1
-        elif op == RETRACT_GIVEN_UP:
-            failed_rows = 0
+        elif op == QUARANTINE:
+            quarantine_rows = 1  # INSERT OR IGNORE
+        elif op == CLOSE_BREAKER:
+            breaker_open = False
         else:
-            assert op == RETRACT_QUARANTINE
-            quarantined = False
+            assert op == DROP
 
     if state == PENDING:
-        assert ops == []  # the re-run settles the site
+        assert ops == [(WRITE, None)]  # the re-run settles the site
+        assert failed_rows == quarantine_rows == 0
         return
     if state == LOST:
-        assert not set(own) & set(visits)
-        assert failed_rows == 0
+        # Nothing of a voided attempt ever reaches the database.
+        assert set(visits) <= {0}
+        assert failed_rows == quarantine_rows == 0
         if not elsewhere:
             return  # the live worker's verdict settles the site
-    entries = [any(visits.values()), failed_rows > 0, quarantined]
+    else:
+        # A breaker left open on a completed site would refuse it.
+        assert breaker_open == (quarantined and state != COMPLETED)
+    entries = [any(visits.values()), failed_rows > 0, quarantine_rows > 0]
     assert entries.count(True) == 1, (world, ops)
     assert failed_rows <= 1
