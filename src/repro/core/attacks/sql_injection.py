@@ -44,16 +44,17 @@ def run_sql_injection_probe(profile: Optional[BrowserProfile] = None
                             ) -> SQLInjectionOutcome:
     """Drive hostile payloads through the recording pipeline."""
     storage = StorageController(":memory:")
-    extension = _make_extension(stealth=False, storage=storage)
+    extension = _make_extension(stealth=False, storage=storage.recorder)
     profile = profile or openwpm_profile("ubuntu", "regular")
 
-    storage.begin_visit(browser_id=0, site_url="https://lab.test/")
     # Seed some legitimate rows whose survival we check.
-    _, result = visit_with_scripts(
-        profile, ["navigator.userAgent; screen.width;"],
-        extension=extension)
+    storage.begin_visit(browser_id=0, site_url="https://lab.test/")
+    visit_with_scripts(profile, ["navigator.userAgent; screen.width;"],
+                       extension=extension)
+    storage.end_visit()
     rows_before = len(storage.javascript_records())
 
+    storage.begin_visit(browser_id=0, site_url="https://lab.test/")
     for payload in INJECTION_PAYLOADS:
         source = (FAKE_INJECTION_ATTACK
                   .replace("__FAKE_SYMBOL__", payload.replace('"', '\\"'))
@@ -61,6 +62,7 @@ def run_sql_injection_probe(profile: Optional[BrowserProfile] = None
                   .replace("__FAKE_ARGS__", "x")
                   .replace("__FAKE_SCRIPT_URL__", "https://evil.test/a.js"))
         visit_with_scripts(profile, [source], extension=extension)
+    storage.end_visit()
 
     rows = storage.javascript_records()
     tables_intact = True
@@ -75,7 +77,6 @@ def run_sql_injection_probe(profile: Optional[BrowserProfile] = None
         if any(payload in (row["symbol"] or "")
                or payload in (row["value"] or "")
                for payload in INJECTION_PAYLOADS))
-    storage.end_visit()
 
     succeeded = (not tables_intact) or len(rows) < rows_before
     return SQLInjectionOutcome(

@@ -61,6 +61,20 @@ class ScanDataset:
     #: The content-addressed store backing :attr:`evidence`.
     corpus: Optional[ScriptCorpus] = None
 
+    def add_site(self, domain: str, front: SiteClassification,
+                 combined: SiteClassification,
+                 evidences: List[VisitEvidence]) -> None:
+        """Fold one scanned site in: its front-page and combined
+        verdicts, its evidence (front page first), and its scripts."""
+        self.front_only[domain] = front
+        self.combined[domain] = combined
+        self.evidence[domain] = evidences
+        self.subpage_visits += max(0, len(evidences) - 1)
+        self.visited_sites += 1
+        for visit in evidences:
+            for _, digest in visit.scripts:
+                self.unique_scripts.add(digest)
+
     def script_source(self, digest: str) -> str:
         """Resolve one collected script's body by content address."""
         if self.corpus is None:
@@ -457,16 +471,11 @@ class ScanPipeline:
                             "--resume to rebuild the dataset from "
                             "scratch")
             with self._dataset_lock:
-                dataset.front_only[domain] = classify_site(
-                    domain, evidences[:1], corpus=corpus)
-                dataset.combined[domain] = classify_site(
-                    domain, evidences, corpus=corpus)
-                dataset.evidence[domain] = evidences
-                dataset.subpage_visits += max(0, len(evidences) - 1)
-                dataset.visited_sites += 1
-                for visit in evidences:
-                    for _, digest in visit.scripts:
-                        dataset.unique_scripts.add(digest)
+                dataset.add_site(
+                    domain,
+                    classify_site(domain, evidences[:1], corpus=corpus),
+                    classify_site(domain, evidences, corpus=corpus),
+                    evidences)
 
     # ------------------------------------------------------------------
     def _site_browser(self, domain: str
@@ -502,13 +511,11 @@ class ScanPipeline:
             evidences = [front_evidence]
             front_classification = classify_site(domain, [front_evidence],
                                                  corpus=corpus)
-            subpage_count = 0
             if visit_subpages:
                 for link in self._select_subpages(front_evidence, browser):
                     evidences.append(self._visit(link, browser,
                                                  extension, batch,
                                                  site=domain))
-                    subpage_count += 1
                     tm.metrics.counter("scan_subpage_visits").inc()
             with tm.stage("classify"):
                 classification = classify_site(domain, evidences,
@@ -518,14 +525,8 @@ class ScanPipeline:
                     domain, front=front_classification,
                     combined=classification, evidence=evidences)
             with self._dataset_lock:
-                dataset.front_only[domain] = front_classification
-                dataset.combined[domain] = classification
-                dataset.evidence[domain] = evidences
-                dataset.subpage_visits += subpage_count
-                dataset.visited_sites += 1
-                for visit in evidences:
-                    for _, digest in visit.scripts:
-                        dataset.unique_scripts.add(digest)
+                dataset.add_site(domain, front_classification,
+                                 classification, evidences)
             tm.metrics.counter("scan_sites_visited").inc()
             outcome = "identified" if classification.identified_union \
                 else "negative"

@@ -18,7 +18,8 @@ choke point          injected by
 ``visit.callbacks``  task manager, before the command callbacks
 ``visit.storage_commit``  task manager, before the visit commit
 ``network.fetch``    :class:`repro.net.network.Network`, per request
-``storage.begin_visit``  storage controller, before the visit row
+``storage.begin_visit``  a slot's visit recorder, before the visit
+                     opens
 ``pool.lease``       worker pool, right after a job is claimed
 ``proc.claim``       process worker, right after a cross-process claim
 ``proc.mid_visit``   process worker, inside the visit (as a command

@@ -116,12 +116,6 @@ class OpenWPMExtension(ExtensionHost):
                 if not verdict:
                     self.telemetry.metrics.counter(
                         "integrity_probe_failures").inc()
-        if self.storage is not None:
-            commit = getattr(self.storage, "commit", None)
-            if commit is not None:
-                commit()
-            else:
-                self.storage.connection.commit()
 
     # ------------------------------------------------------------------
     # Recording integrity

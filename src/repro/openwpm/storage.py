@@ -11,45 +11,33 @@ basis of ``python -m repro stats``).
 Two properties the paper verifies live here:
 
 * RQ6 sanitisation — ``top_level_url`` and ``visit_id`` on JS records are
-  set by the controller from its own visit context, never taken from the
+  set by the recorder from its own visit context, never taken from the
   (page-forgeable) event payload;
 * RQ7 injection safety — every statement is parameterised; hostile
   strings in any field cannot alter previously stored rows.
 
-Two roles, one class. Each browser slot records into its own
-in-memory *slot store*; the crawl database is written only by
-:meth:`StorageController.record_envelope`, which lands one job
-attempt's envelope (:meth:`take_envelope` of a slot store) in one
-transaction once the attempt's job has settled. The visit context is
-kept *per browser* (``browser_id -> VisitContext``); a record arriving
-outside any visit for its browser raises :class:`VisitStateError`
-rather than landing on a stale context, and each browser's instruments
-write through a :class:`BrowserStorageHandle` that pins their
-``browser_id``. Every database access runs under one re-entrant lock.
-
-Write path: visit-scoped records (http_requests, http_responses,
-javascript, javascript_cookies, content) are buffered in per-table
-lists and flushed with one ``executemany`` per table — one transaction
-per visit instead of one ``execute`` per record. Rows keep their
-arrival order within each table, so AUTOINCREMENT ids are identical to
-the per-record scheme. Every read (``query``) and ``abort_visit``
-flush first, so buffered rows are always visible to callers and a
-watchdog abort removes batched-but-unflushed rows along with flushed
-ones.
+Recording and storing are two classes. Each browser slot records into
+its own :class:`VisitRecorder`, which holds the rows as plain tuples
+and hands them over as one job attempt's envelope
+(:meth:`VisitRecorder.take_envelope`). :class:`StorageController` is
+the crawl database; its one path that inserts crawl rows is
+:meth:`StorageController.record_envelope`, which lands an envelope in
+one transaction once the attempt's job has settled, with one
+``executemany`` per visit table. Callers that record straight into a
+database use the controller's own ``recorder``, whose visits and
+ledger rows land through the same method as soon as no visit is
+active. Every database access runs under one re-entrant lock.
 
 Serving hooks: the controller owns a
-:class:`repro.serve.rollups.RollupMaintainer` that folds every
-mutation — visit commits and envelope writes — into
-the read-optimized ``rollups_*`` tables inside the same transaction as
-the raw rows, so the serving layer's aggregates can never commit apart
-from the ground truth they summarise. Each visit's contribution is
-accumulated record-by-record on its :class:`VisitContext` (aborted
-visits simply drop it); visit-less ``content`` rows are booked at
-flush time from the post-dedup insert count. ``REPRO_ROLLUPS=off``
-disables maintenance (existing rollups are then marked stale on the
-first mutation rather than silently drifting). File-backed databases
-run in WAL journal mode so the serving layer's read-only connections
-never contend with the crawl writer.
+:class:`repro.serve.rollups.RollupMaintainer` that ``record_envelope``
+feeds every row it lands, inside the same transaction, so the
+serving layer's aggregates can never commit apart from the ground
+truth they summarise; ``content`` rows are booked from the post-dedup
+insert count. ``REPRO_ROLLUPS=off`` disables maintenance (existing
+rollups are then marked stale on the first mutation rather than
+silently drifting). File-backed databases run in WAL journal mode so
+the serving layer's read-only connections never contend with the
+crawl writer.
 """
 
 from __future__ import annotations
@@ -59,7 +47,7 @@ import os
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.rollups import RollupMaintainer, VisitDelta
 
@@ -171,16 +159,14 @@ CREATE TABLE IF NOT EXISTS telemetry (
 
 @dataclass
 class VisitContext:
-    """The controller's own notion of the visit being recorded."""
+    """The recorder's own notion of the visit being recorded."""
 
     visit_id: int
     browser_id: int
     site_url: str
     top_level_url: str
-    #: Rollup contribution of this visit (``repro.serve``), fed every
-    #: buffered row and applied atomically when the visit commits;
-    #: ``None`` when rollup maintenance is disabled.
-    delta: Optional[VisitDelta] = None
+    #: The visit's rows so far, per visit table, in arrival order.
+    tables: Dict[str, List[Tuple]]
 
 
 class VisitStateError(RuntimeError):
@@ -193,19 +179,262 @@ class VisitStateError(RuntimeError):
     """
 
 
+#: Tables whose rows belong to one visit (by ``visit_id``).
+_VISIT_TABLES = ("http_requests", "http_responses", "javascript",
+                "javascript_cookies")
+
+
+class VisitRecorder:
+    """Everything one browser slot records, held as plain rows until it
+    leaves as one envelope (:meth:`take_envelope`).
+
+    The visit context is kept *per browser* (``browser_id ->
+    VisitContext``); a record arriving outside any visit for its
+    browser raises :class:`VisitStateError` rather than landing on a
+    stale context, and each browser's instruments write through a
+    :class:`BrowserStorageHandle` that pins their ``browser_id``.
+    Visit ids are recorder-local; the crawl database allocates its own
+    when the envelope lands. A recorder belongs to one thread at a
+    time (its slot's worker).
+
+    With a *sink*, every envelope is handed to it as soon as no visit
+    is active — how :class:`StorageController` lands its own
+    recorder's visits and ledger rows.
+    """
+
+    def __init__(self, sink: Optional[Callable[[Dict[str, Any]], None]]
+                 = None) -> None:
+        self._sink = sink
+        #: Active visits, one slot per browser.
+        self._contexts: Dict[int, VisitContext] = {}
+        self._visits: List[Dict[str, Any]] = []
+        #: content_hash -> row, first seen wins (the database's dedup).
+        self._content: Dict[str, Tuple] = {}
+        self._ledger: Dict[str, List[Tuple]] = {
+            "crash_history": [], "failed_visits": [],
+            "quarantined_sites": []}
+        self.next_visit_id = 1
+        #: Optional :class:`repro.faults.FaultPlan`; when set,
+        #: ``begin_visit`` consults it for transient ``storage_busy``
+        #: faults before recording anything.
+        self.fault_plan: Optional[Any] = None
+
+    # ------------------------------------------------------------------
+    # Visit lifecycle
+    # ------------------------------------------------------------------
+    def active_visits(self) -> Dict[int, VisitContext]:
+        """Snapshot of every browser's active visit context."""
+        return dict(self._contexts)
+
+    def handle(self, browser_id: int) -> "BrowserStorageHandle":
+        """A write facade with *browser_id* pinned to every record."""
+        return BrowserStorageHandle(self, browser_id)
+
+    def begin_visit(self, browser_id: int, site_url: str,
+                    run_label: str = "") -> VisitContext:
+        if self.fault_plan is not None:
+            rule = self.fault_plan.check("storage.begin_visit",
+                                         url=site_url)
+            if rule is not None and rule.fault == "storage_busy":
+                # Raised before any side effect: a transient busy /
+                # locked error leaves no partial visit behind.
+                raise sqlite3.OperationalError(
+                    "database is locked (injected fault)")
+        if browser_id in self._contexts:
+            raise VisitStateError(
+                f"browser {browser_id} already has an active visit "
+                f"({self._contexts[browser_id].site_url!r}); "
+                f"end_visit it before beginning {site_url!r}")
+        visit_id = self.next_visit_id
+        self.next_visit_id += 1
+        tables: Dict[str, List[Tuple]] = {
+            table: [] for table in _VISIT_TABLES}
+        self._visits.append({"visit_id": visit_id,
+                             "browser_id": browser_id,
+                             "site_url": site_url,
+                             "run_label": run_label, "tables": tables})
+        context = VisitContext(visit_id=visit_id, browser_id=browser_id,
+                               site_url=site_url, top_level_url=site_url,
+                               tables=tables)
+        self._contexts[browser_id] = context
+        return context
+
+    def end_visit(self, browser_id: Optional[int] = None) -> None:
+        """Close a visit; its rows stay for the envelope.
+
+        ``browser_id`` may be omitted only while exactly one visit is
+        active (the single-browser legacy call shape).
+        """
+        if browser_id is None:
+            if len(self._contexts) != 1:
+                raise VisitStateError(
+                    f"end_visit() without browser_id needs exactly "
+                    f"one active visit, found {len(self._contexts)}")
+            browser_id = next(iter(self._contexts))
+        if browser_id not in self._contexts:
+            raise VisitStateError(
+                f"browser {browser_id} has no active visit to end")
+        del self._contexts[browser_id]
+        self._hand_over()
+
+    def abort_visit(self, browser_id: int) -> Dict[str, int]:
+        """Discard an in-flight visit: drop its rows and its context.
+
+        The watchdog's remedy for a hung visit — whatever the visit
+        recorded before hanging is incomplete and is dropped rather
+        than kept. Returns per-table counts of the dropped records so
+        the caller can balance its ``records_written`` accounting
+        (``records_discarded`` counters).
+        """
+        context = self._contexts.pop(browser_id, None)
+        if context is None:
+            raise VisitStateError(
+                f"browser {browser_id} has no active visit to abort")
+        self._visits = [visit for visit in self._visits
+                        if visit["visit_id"] != context.visit_id]
+        self._hand_over()
+        return {table: len(rows) for table, rows in context.tables.items()}
+
+    def take_envelope(self) -> Dict[str, Any]:
+        """Every row recorded since the last call, handed over and
+        forgotten here: one job attempt's envelope.
+
+        ``visits`` keep their recorder-local ids (a crashed attempt's
+        partial visit included, as the visit left it); ``content`` rows
+        are visit-less and keep first-seen order; ``ledger`` holds the
+        crash, given-up and quarantine rows, whose ``crash_history``
+        ``visit_id`` still names a recorder-local visit.
+        """
+        if self._contexts:
+            raise VisitStateError(
+                f"cannot take an envelope with visits active "
+                f"(browsers {sorted(self._contexts)})")
+        envelope = {"visits": self._visits,
+                    "content": list(self._content.values()),
+                    "ledger": self._ledger}
+        self._visits, self._content = [], {}
+        self._ledger = {table: [] for table in self._ledger}
+        return envelope
+
+    def _hand_over(self) -> None:
+        """Pass the envelope to the sink once no visit is active."""
+        if self._sink is not None and not self._contexts and (
+                self._visits or self._content
+                or any(self._ledger.values())):
+            self._sink(self.take_envelope())
+
+    def _context(self, browser_id: Optional[int] = None) -> VisitContext:
+        """Resolve the visit context a record belongs to, or raise."""
+        if browser_id is not None:
+            context = self._contexts.get(browser_id)
+            if context is None:
+                raise VisitStateError(
+                    f"record for browser {browser_id} arrived outside "
+                    f"any visit")
+            return context
+        if len(self._contexts) == 1:
+            return next(iter(self._contexts.values()))
+        if not self._contexts:
+            raise VisitStateError("record arrived outside any visit")
+        raise VisitStateError(
+            f"{len(self._contexts)} visits active — records must name "
+            f"their browser_id (use VisitRecorder.handle())")
+
+    # ------------------------------------------------------------------
+    # Row writers
+    # ------------------------------------------------------------------
+    def record_http_request(self, url: str, top_level_url: str,
+                            frame_url: str, method: str, resource_type: str,
+                            is_third_party: bool, headers: str = "",
+                            post_body: str = "",
+                            browser_id: Optional[int] = None) -> None:
+        ctx = self._context(browser_id)
+        ctx.tables["http_requests"].append(
+            (ctx.visit_id, ctx.browser_id, url, top_level_url, frame_url,
+             method, resource_type, int(is_third_party), headers,
+             post_body))
+
+    def record_http_response(self, url: str, status: int, content_type: str,
+                             content_hash: str = "",
+                             browser_id: Optional[int] = None) -> None:
+        ctx = self._context(browser_id)
+        ctx.tables["http_responses"].append(
+            (ctx.visit_id, ctx.browser_id, url, status, content_type,
+             content_hash))
+
+    def record_content(self, body: str, url: str,
+                       content_type: str) -> str:
+        content_hash = hashlib.sha256(body.encode()).hexdigest()
+        self._content.setdefault(content_hash,
+                                 (content_hash, body, url, content_type))
+        self._hand_over()
+        return content_hash
+
+    def record_javascript(self, document_url: str, script_url: str,
+                          symbol: str, operation: str, value: str,
+                          arguments: str = "", call_stack: str = "",
+                          browser_id: Optional[int] = None) -> None:
+        """Record one JS API access.
+
+        ``top_level_url`` and ``visit_id`` come from the recorder's own
+        visit context — the sanitisation that limits the fake-data
+        injection attack (RQ6) to the currently visited site.
+        """
+        ctx = self._context(browser_id)
+        ctx.tables["javascript"].append(
+            (ctx.visit_id, ctx.browser_id, ctx.top_level_url,
+             document_url, script_url, str(symbol)[:2048],
+             str(operation)[:64], str(value)[:2048],
+             str(arguments)[:2048], str(call_stack)[:4096]))
+
+    def record_cookie(self, change_cause: str, host: str, name: str,
+                      value: str, path: str, is_session: bool,
+                      is_http_only: bool, expiry: Optional[float],
+                      first_party: str, via_javascript: bool,
+                      browser_id: Optional[int] = None) -> None:
+        ctx = self._context(browser_id)
+        ctx.tables["javascript_cookies"].append(
+            (ctx.visit_id, ctx.browser_id, "cookie", change_cause, host,
+             name, value, path, int(is_session), int(is_http_only),
+             expiry, first_party, int(via_javascript)))
+
+    def record_crash(self, browser_id: int, site_url: str,
+                     action: str) -> None:
+        ctx = self._contexts.get(browser_id)
+        self._ledger["crash_history"].append(
+            (browser_id, ctx.visit_id if ctx else None, site_url, action))
+        self._hand_over()
+
+    def record_failed_visit(self, browser_id: int, site_url: str,
+                            attempts: int, reason: str) -> None:
+        """One row per site given up on (the crawl-loss ledger)."""
+        self._ledger["failed_visits"].append(
+            (browser_id, site_url, attempts, reason))
+        self._hand_over()
+
+    def record_quarantine(self, site_url: str, failures: int,
+                          reason: str, quarantined_at: float = 0.0
+                          ) -> None:
+        """One row per site the circuit breaker gave up on."""
+        rows = self._ledger["quarantined_sites"]
+        if all(row[0] != site_url for row in rows):
+            rows.append((site_url, failures, reason, quarantined_at))
+        self._hand_over()
+
+
 class StorageController:
-    """Owns the SQLite database and all writes to it.
+    """Owns the SQLite crawl database: its schema, its one insert path
+    (:meth:`record_envelope`), telemetry persistence and the reads.
 
     Thread-safe: one connection shared across worker threads, every
     access serialized through ``self._lock``.
     """
 
-    #: Tables whose rows belong to one visit (by ``visit_id``).
-    _VISIT_TABLES = ("http_requests", "http_responses", "javascript",
-                     "javascript_cookies")
-
-    #: INSERT statements for the batched (visit-scoped) tables.
-    _BATCHED: Dict[str, str] = {
+    #: INSERT statements, one per crawl table.
+    _INSERT: Dict[str, str] = {
+        "site_visits":
+            "INSERT INTO site_visits (visit_id, browser_id, site_url, "
+            "run_label) VALUES (?, ?, ?, ?)",
         "http_requests":
             "INSERT INTO http_requests (visit_id, browser_id, url, "
             "top_level_url, frame_url, method, resource_type, "
@@ -229,10 +458,18 @@ class StorageController:
         "content":
             "INSERT OR IGNORE INTO content (content_hash, content, "
             "url, content_type) VALUES (?, ?, ?, ?)",
+        "crash_history":
+            "INSERT INTO crash_history (browser_id, visit_id, "
+            "site_url, action) VALUES (?, ?, ?, ?)",
+        "failed_visits":
+            "INSERT INTO failed_visits (browser_id, site_url, "
+            "attempts, reason) VALUES (?, ?, ?, ?)",
+        "quarantined_sites":
+            "INSERT OR IGNORE INTO quarantined_sites (site_url, "
+            "failures, reason, quarantined_at) VALUES (?, ?, ?, ?)",
     }
 
-    def __init__(self, database_path: str = ":memory:",
-                 rollups: Optional[bool] = None) -> None:
+    def __init__(self, database_path: str = ":memory:") -> None:
         self.database_path = database_path
         self.connection = sqlite3.connect(database_path,
                                           check_same_thread=False)
@@ -251,55 +488,18 @@ class StorageController:
             row = self.connection.execute(
                 "SELECT MAX(visit_id) AS m FROM site_visits").fetchone()
             self._next_visit_id = int(row["m"] or 0) + 1
-            if rollups is None:
-                rollups = os.environ.get(
-                    "REPRO_ROLLUPS", "").lower() not in ("off", "0",
-                                                         "false")
             #: Incremental aggregation into the ``rollups_*`` tables
-            #: (``repro.serve``); hooks are invoked on every mutation
-            #: path below, inside the caller's transaction.
-            self.rollups = RollupMaintainer(self.connection,
-                                            enabled=bool(rollups))
-        #: Active visits, one slot per browser.
-        self._contexts: Dict[int, VisitContext] = {}
-        #: Per-table pending row buffers (insertion order preserved).
-        self._pending: Dict[str, List[Tuple]] = {
-            table: [] for table in self._BATCHED}
-        #: Optional :class:`repro.faults.FaultPlan`; when set,
-        #: ``begin_visit`` consults it for transient ``storage_busy``
-        #: faults before touching the database.
-        self.fault_plan: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    # Batched writes
-    # ------------------------------------------------------------------
-    def _flush_locked(self) -> None:
-        """Drain every pending buffer with one executemany per table.
-
-        Caller holds ``self._lock``. Per-table arrival order is kept,
-        so AUTOINCREMENT ids match the historical per-record inserts.
-        """
-        for table, rows in self._pending.items():
-            if rows:
-                if table == "content":
-                    # Content rows are visit-less (they survive visit
-                    # aborts) and deduplicated by OR IGNORE, so their
-                    # rollup contribution is the *actual* insert count,
-                    # booked here rather than through a visit delta.
-                    before = self.connection.total_changes
-                    self.connection.executemany(
-                        self._BATCHED[table], rows)
-                    self.rollups.content_inserted(
-                        self.connection.total_changes - before)
-                else:
-                    self.connection.executemany(
-                        self._BATCHED[table], rows)
-                del rows[:]
-
-    def pending_row_count(self) -> int:
-        """Buffered-but-unflushed rows across all batched tables."""
-        with self._lock:
-            return sum(len(rows) for rows in self._pending.values())
+            #: (``repro.serve``), fed by :meth:`record_envelope` inside
+            #: its transaction.
+            self.rollups = RollupMaintainer(
+                self.connection, enabled=os.environ.get(
+                    "REPRO_ROLLUPS", "").lower() not in ("off", "0",
+                                                         "false"))
+        #: The recorder for callers recording straight into this
+        #: database: its visits and ledger rows land through
+        #: :meth:`record_envelope` as soon as no visit is active.
+        self.recorder = VisitRecorder(sink=self._land)
+        self.recorder.next_visit_id = self._next_visit_id
 
     # ------------------------------------------------------------------
     def journal_directory(self) -> Optional[str]:
@@ -312,388 +512,96 @@ class StorageController:
         return journal_path_for(self.database_path)
 
     # ------------------------------------------------------------------
-    # Visit lifecycle
+    # Recording straight into this database (through ``recorder``).
+    # begin_visit, end_visit and commit stay defined on this class:
+    # ``perfbench`` wraps them by name.
     # ------------------------------------------------------------------
-    @property
-    def current_visit(self) -> Optional[VisitContext]:
-        """The single active visit, or ``None`` (0 or 2+ active)."""
-        with self._lock:
-            if len(self._contexts) == 1:
-                return next(iter(self._contexts.values()))
-            return None
-
-    def active_visits(self) -> Dict[int, VisitContext]:
-        """Snapshot of every browser's active visit context."""
-        with self._lock:
-            return dict(self._contexts)
-
-    def handle(self, browser_id: int) -> "BrowserStorageHandle":
-        """A write facade with *browser_id* pinned to every record."""
-        return BrowserStorageHandle(self, browser_id)
-
     def begin_visit(self, browser_id: int, site_url: str,
                     run_label: str = "") -> VisitContext:
-        if self.fault_plan is not None:
-            rule = self.fault_plan.check("storage.begin_visit",
-                                         url=site_url)
-            if rule is not None and rule.fault == "storage_busy":
-                # Raised before any side effect: a transient busy /
-                # locked error leaves no partial visit behind.
-                raise sqlite3.OperationalError(
-                    "database is locked (injected fault)")
-        with self._lock:
-            if browser_id in self._contexts:
-                raise VisitStateError(
-                    f"browser {browser_id} already has an active visit "
-                    f"({self._contexts[browser_id].site_url!r}); "
-                    f"end_visit it before beginning {site_url!r}")
-            visit_id = self._next_visit_id
-            self._next_visit_id += 1
-            self.connection.execute(
-                "INSERT INTO site_visits (visit_id, browser_id, site_url, "
-                "run_label) VALUES (?, ?, ?, ?)",
-                (visit_id, browser_id, site_url, run_label))
-            context = VisitContext(
-                visit_id=visit_id, browser_id=browser_id,
-                site_url=site_url, top_level_url=site_url,
-                delta=VisitDelta() if self.rollups.enabled else None)
-            self._contexts[browser_id] = context
-            return context
+        return self.recorder.begin_visit(browser_id, site_url, run_label)
 
     def end_visit(self, browser_id: Optional[int] = None) -> None:
-        """Commit and close a visit.
+        self.recorder.end_visit(browser_id)
 
-        ``browser_id`` may be omitted only while exactly one visit is
-        active (the single-browser legacy call shape).
-        """
-        with self._lock:
-            if browser_id is None:
-                if len(self._contexts) != 1:
-                    raise VisitStateError(
-                        f"end_visit() without browser_id needs exactly "
-                        f"one active visit, found {len(self._contexts)}")
-                browser_id = next(iter(self._contexts))
-            if browser_id not in self._contexts:
-                raise VisitStateError(
-                    f"browser {browser_id} has no active visit to end")
-            # One flush + one commit per visit: the batched rows land
-            # in a single transaction — and the visit's rollup delta
-            # rides the same transaction, so aggregates and raw rows
-            # can never commit apart.
-            context = self._contexts[browser_id]
-            self._flush_locked()
-            self.rollups.visit_committed(
-                context.site_url, context.delta or VisitDelta())
-            self.connection.commit()
-            del self._contexts[browser_id]
-
-    def abort_visit(self, browser_id: int) -> Dict[str, int]:
-        """Discard an in-flight visit: delete its rows, drop the context.
-
-        The watchdog's remedy for a hung visit — whatever the visit
-        recorded before hanging is incomplete and is removed rather
-        than committed. Returns per-table counts of the deleted
-        records so the caller can balance its ``records_written``
-        accounting (``records_discarded`` counters).
-        """
-        with self._lock:
-            context = self._contexts.get(browser_id)
-            if context is None:
-                raise VisitStateError(
-                    f"browser {browser_id} has no active visit to abort")
-            # Flush before deleting so the DELETE rowcounts cover rows
-            # still sitting in the batch buffers.
-            self._flush_locked()
-            discarded: Dict[str, int] = {}
-            for table in self._VISIT_TABLES:
-                cursor = self.connection.execute(
-                    f"DELETE FROM {table} WHERE visit_id = ?",  # noqa: S608
-                    (context.visit_id,))
-                discarded[table] = cursor.rowcount
-            self.connection.execute(
-                "DELETE FROM site_visits WHERE visit_id = ?",
-                (context.visit_id,))
-            self.connection.commit()
-            del self._contexts[browser_id]
-            return discarded
+    def _land(self, envelope: Dict[str, Any]) -> None:
+        self.record_envelope(**envelope)
+        self.recorder.next_visit_id = self._next_visit_id
 
     # ------------------------------------------------------------------
-    # Envelopes: a slot store's rows, landed in the crawl database
+    # Envelopes: a recorder's rows, landed in the crawl database
     # ------------------------------------------------------------------
-    #: Column order of the batched tables, matching ``_BATCHED``.
-    _BATCHED_COLUMNS: Dict[str, Tuple[str, ...]] = {
-        "http_requests": (
-            "visit_id", "browser_id", "url", "top_level_url",
-            "frame_url", "method", "resource_type",
-            "is_third_party_channel", "headers", "post_body"),
-        "http_responses": (
-            "visit_id", "browser_id", "url", "response_status",
-            "content_type", "content_hash"),
-        "javascript": (
-            "visit_id", "browser_id", "top_level_url", "document_url",
-            "script_url", "symbol", "operation", "value", "arguments",
-            "call_stack"),
-        "javascript_cookies": (
-            "visit_id", "browser_id", "record_type", "change_cause",
-            "host", "name", "value", "path", "is_session",
-            "is_http_only", "expiry", "first_party_domain",
-            "via_javascript"),
-        "content": ("content_hash", "content", "url", "content_type"),
-    }
-
-    #: Ledger tables an envelope carries (column order of its rows).
-    _LEDGER_COLUMNS: Dict[str, Tuple[str, ...]] = {
-        "crash_history": ("browser_id", "visit_id", "site_url",
-                          "action"),
-        "failed_visits": ("browser_id", "site_url", "attempts",
-                          "reason"),
-        "quarantined_sites": ("site_url", "failures", "reason",
-                              "quarantined_at"),
-    }
-
-    def take_envelope(self) -> Dict[str, Any]:
-        """Every row recorded since the last call, as plain tuples, and
-        removed from this store: one job attempt's envelope.
-
-        A browser slot records into its own in-memory store; the crawl
-        database only ever receives envelopes (:meth:`record_envelope`).
-        ``visits`` keep their store-local ids (a crashed attempt's
-        partial visit included, as the visit left it); ``content`` rows
-        are visit-less and keep first-seen order; ``ledger`` holds the
-        crash, given-up and quarantine rows, whose ``crash_history``
-        ``visit_id`` still names a store-local visit.
-        """
-        with self._lock:
-            if self._contexts:
-                raise VisitStateError(
-                    f"cannot take an envelope with visits active "
-                    f"(browsers {sorted(self._contexts)})")
-            self._flush_locked()
-            execute = self.connection.execute
-            visits: List[Dict[str, Any]] = []
-            by_id: Dict[int, Dict[str, List[Tuple]]] = {}
-            for row in execute("SELECT * FROM site_visits "
-                               "ORDER BY visit_id"):
-                tables: Dict[str, List[Tuple]] = {
-                    table: [] for table in self._VISIT_TABLES}
-                by_id[int(row["visit_id"])] = tables
-                visits.append({"visit_id": int(row["visit_id"]),
-                               "browser_id": int(row["browser_id"]),
-                               "site_url": row["site_url"],
-                               "run_label": row["run_label"] or "",
-                               "tables": tables})
-            taken = {"site_visits"} if visits else set()
-            for table in self._VISIT_TABLES:
-                cols = ", ".join(self._BATCHED_COLUMNS[table])
-                for row in execute(f"SELECT {cols} FROM {table} "  # noqa: S608
-                                   f"ORDER BY id"):
-                    by_id[int(row[0])][table].append(tuple(row))
-                    taken.add(table)
-            content = [tuple(row) for row in execute(
-                "SELECT content_hash, content, url, content_type "
-                "FROM content ORDER BY rowid")]
-            if content:
-                taken.add("content")
-            ledger = {
-                table: [tuple(row) for row in execute(
-                    f"SELECT {', '.join(cols)} FROM {table} "  # noqa: S608
-                    f"ORDER BY id")]
-                for table, cols in self._LEDGER_COLUMNS.items()}
-            taken.update(table for table, rows in ledger.items() if rows)
-            for table in taken:
-                execute(f"DELETE FROM {table}")  # noqa: S608
-            self.connection.commit()
-            return {"visits": visits, "content": content,
-                    "ledger": ledger}
-
     def record_envelope(self, visits: List[Dict[str, Any]],
                         content: List[Tuple],
                         ledger: Dict[str, List[Tuple]]) -> int:
         """Land one attempt's envelope in a single transaction.
 
-        Each visit gets the next visit id, exactly as :meth:`begin_visit`
-        would allocate it, so envelopes landed in job order give every
-        crawl mode the same ids and row order. ``crash_history`` rows
-        are remapped to the new ids; ``content`` and
-        ``quarantined_sites`` keep their OR IGNORE dedup. Every row is
-        folded into the rollups inside the same transaction. Returns
+        Each visit gets the next visit id, so envelopes landed in job
+        order give every crawl mode the same ids and row order.
+        ``crash_history`` rows are remapped to the new ids; ``content``
+        and ``quarantined_sites`` keep their OR IGNORE dedup. Every row
+        is folded into the rollups inside the same transaction. If any
+        write raises, the transaction rolls back and the id counter is
+        restored, so a failed envelope leaves nothing behind. Returns
         how many quarantine rows actually landed.
         """
         with self._lock:
-            self._flush_locked()
-            execute = self.connection.execute
-            ids: Dict[int, int] = {}
-            for visit in visits:
-                visit_id = self._next_visit_id
-                self._next_visit_id += 1
-                ids[visit["visit_id"]] = visit_id
-                execute("INSERT INTO site_visits (visit_id, browser_id, "
-                        "site_url, run_label) VALUES (?, ?, ?, ?)",
-                        (visit_id, visit["browser_id"], visit["site_url"],
-                         visit["run_label"]))
-                delta = VisitDelta() if self.rollups.enabled else None
-                for table, rows in visit["tables"].items():
-                    if table not in self._VISIT_TABLES:
-                        raise ValueError(
-                            f"cannot record rows for table {table!r}")
-                    if not rows:
-                        continue
-                    rows = [(visit_id,) + tuple(row[1:]) for row in rows]
-                    self.connection.executemany(self._BATCHED[table], rows)
-                    if delta is not None:
-                        for row in rows:
-                            delta.add_row(table, row)
-                self.rollups.visit_committed(visit["site_url"],
-                                             delta or VisitDelta())
-            if content:
-                before = self.connection.total_changes
-                self.connection.executemany(self._BATCHED["content"],
-                                            [tuple(row) for row in content])
-                self.rollups.content_inserted(
-                    self.connection.total_changes - before)
-            for browser_id, visit_id, site_url, action in \
-                    ledger.get("crash_history", ()):
-                execute("INSERT INTO crash_history (browser_id, visit_id, "
-                        "site_url, action) VALUES (?, ?, ?, ?)",
-                        (browser_id, ids.get(visit_id), site_url, action))
-                self.rollups.crash_recorded(site_url, action)
-            for row in ledger.get("failed_visits", ()):
-                execute("INSERT INTO failed_visits (browser_id, site_url, "
-                        "attempts, reason) VALUES (?, ?, ?, ?)", tuple(row))
-                self.rollups.failed_recorded(str(row[1]), str(row[3] or ""))
-            landed = 0
-            for row in ledger.get("quarantined_sites", ()):
-                inserted = execute(
-                    "INSERT OR IGNORE INTO quarantined_sites (site_url, "
-                    "failures, reason, quarantined_at) "
-                    "VALUES (?, ?, ?, ?)", tuple(row)).rowcount > 0
-                self.rollups.quarantine_recorded(str(row[0]), inserted)
-                landed += inserted
-            self.connection.commit()
+            first_visit_id = self._next_visit_id
+            try:
+                landed = self._write_envelope(visits, content, ledger)
+                self.connection.commit()
+            except BaseException:
+                self.connection.rollback()
+                self._next_visit_id = first_visit_id
+                raise
             return landed
 
-    def _context(self, browser_id: Optional[int] = None) -> VisitContext:
-        """Resolve the visit context a record belongs to, or raise."""
-        if browser_id is not None:
-            context = self._contexts.get(browser_id)
-            if context is None:
-                raise VisitStateError(
-                    f"record for browser {browser_id} arrived outside "
-                    f"any visit")
-            return context
-        if len(self._contexts) == 1:
-            return next(iter(self._contexts.values()))
-        if not self._contexts:
-            raise VisitStateError("record arrived outside any visit")
-        raise VisitStateError(
-            f"{len(self._contexts)} visits active — records must name "
-            f"their browser_id (use StorageController.handle())")
-
-    # ------------------------------------------------------------------
-    # Row writers
-    # ------------------------------------------------------------------
-    def record_http_request(self, url: str, top_level_url: str,
-                            frame_url: str, method: str, resource_type: str,
-                            is_third_party: bool, headers: str = "",
-                            post_body: str = "",
-                            browser_id: Optional[int] = None) -> None:
-        with self._lock:
-            ctx = self._context(browser_id)
-            row = (ctx.visit_id, ctx.browser_id, url, top_level_url,
-                   frame_url, method, resource_type,
-                   int(is_third_party), headers, post_body)
-            self._pending["http_requests"].append(row)
-            if ctx.delta is not None:
-                ctx.delta.add_row("http_requests", row)
-
-    def record_http_response(self, url: str, status: int, content_type: str,
-                             content_hash: str = "",
-                             browser_id: Optional[int] = None) -> None:
-        with self._lock:
-            ctx = self._context(browser_id)
-            row = (ctx.visit_id, ctx.browser_id, url, status,
-                   content_type, content_hash)
-            self._pending["http_responses"].append(row)
-            if ctx.delta is not None:
-                ctx.delta.add_row("http_responses", row)
-
-    def record_content(self, body: str, url: str,
-                       content_type: str) -> str:
-        content_hash = hashlib.sha256(body.encode()).hexdigest()
-        with self._lock:
-            self._pending["content"].append(
-                (content_hash, body, url, content_type))
-        return content_hash
-
-    def record_javascript(self, document_url: str, script_url: str,
-                          symbol: str, operation: str, value: str,
-                          arguments: str = "", call_stack: str = "",
-                          browser_id: Optional[int] = None) -> None:
-        """Record one JS API access.
-
-        ``top_level_url`` and ``visit_id`` come from the controller's own
-        visit context — the sanitisation that limits the fake-data
-        injection attack (RQ6) to the currently visited site.
-        """
-        with self._lock:
-            ctx = self._context(browser_id)
-            row = (ctx.visit_id, ctx.browser_id, ctx.top_level_url,
-                   document_url, script_url, str(symbol)[:2048],
-                   str(operation)[:64], str(value)[:2048],
-                   str(arguments)[:2048], str(call_stack)[:4096])
-            self._pending["javascript"].append(row)
-            if ctx.delta is not None:
-                ctx.delta.add_row("javascript", row)
-
-    def record_cookie(self, change_cause: str, host: str, name: str,
-                      value: str, path: str, is_session: bool,
-                      is_http_only: bool, expiry: Optional[float],
-                      first_party: str, via_javascript: bool,
-                      browser_id: Optional[int] = None) -> None:
-        with self._lock:
-            ctx = self._context(browser_id)
-            row = (ctx.visit_id, ctx.browser_id, "cookie", change_cause,
-                   host, name, value, path, int(is_session),
-                   int(is_http_only),
-                   expiry if expiry is not None else None, first_party,
-                   int(via_javascript))
-            self._pending["javascript_cookies"].append(row)
-            if ctx.delta is not None:
-                ctx.delta.add_row("javascript_cookies", row)
-
-    def record_crash(self, browser_id: int, site_url: str,
-                     action: str) -> None:
-        with self._lock:
-            ctx = self._contexts.get(browser_id)
-            self.connection.execute(
-                "INSERT INTO crash_history (browser_id, visit_id, "
-                "site_url, action) VALUES (?, ?, ?, ?)",
-                (browser_id, ctx.visit_id if ctx else None, site_url,
-                 action))
-            self.rollups.crash_recorded(site_url, action)
-
-    def record_failed_visit(self, browser_id: int, site_url: str,
-                            attempts: int, reason: str) -> None:
-        """One row per site given up on (the crawl-loss ledger)."""
-        with self._lock:
-            self.connection.execute(
-                "INSERT INTO failed_visits (browser_id, site_url, "
-                "attempts, reason) VALUES (?, ?, ?, ?)",
-                (browser_id, site_url, attempts, reason))
-            self.rollups.failed_recorded(site_url, reason)
-
-    def record_quarantine(self, site_url: str, failures: int,
-                          reason: str, quarantined_at: float = 0.0
-                          ) -> None:
-        """One row per site the circuit breaker gave up on."""
-        with self._lock:
-            cursor = self.connection.execute(
-                "INSERT OR IGNORE INTO quarantined_sites (site_url, "
-                "failures, reason, quarantined_at) VALUES (?, ?, ?, ?)",
-                (site_url, failures, reason, quarantined_at))
-            self.rollups.quarantine_recorded(site_url,
-                                             cursor.rowcount > 0)
-            self.connection.commit()
+    def _write_envelope(self, visits: List[Dict[str, Any]],
+                        content: List[Tuple],
+                        ledger: Dict[str, List[Tuple]]) -> int:
+        execute = self.connection.execute
+        rollups = self.rollups
+        ids: Dict[int, int] = {}
+        for visit in visits:
+            visit_id = self._next_visit_id
+            self._next_visit_id += 1
+            ids[visit["visit_id"]] = visit_id
+            execute(self._INSERT["site_visits"],
+                    (visit_id, visit["browser_id"], visit["site_url"],
+                     visit["run_label"]))
+            delta = VisitDelta()
+            for table, rows in visit["tables"].items():
+                if table not in _VISIT_TABLES:
+                    raise ValueError(
+                        f"cannot record rows for table {table!r}")
+                if not rows:
+                    continue
+                rows = [(visit_id,) + tuple(row[1:]) for row in rows]
+                self.connection.executemany(self._INSERT[table], rows)
+                if rollups.enabled:
+                    for row in rows:
+                        delta.add_row(table, row)
+            rollups.visit_committed(visit["site_url"], delta)
+        if content:
+            before = self.connection.total_changes
+            self.connection.executemany(self._INSERT["content"],
+                                        [tuple(row) for row in content])
+            rollups.content_inserted(self.connection.total_changes
+                                     - before)
+        for browser_id, visit_id, site_url, action in \
+                ledger.get("crash_history", ()):
+            execute(self._INSERT["crash_history"],
+                    (browser_id, ids.get(visit_id), site_url, action))
+            rollups.crash_recorded(site_url, action)
+        for row in ledger.get("failed_visits", ()):
+            execute(self._INSERT["failed_visits"], tuple(row))
+            rollups.failed_recorded(str(row[1]), str(row[3] or ""))
+        landed = 0
+        for row in ledger.get("quarantined_sites", ()):
+            inserted = execute(self._INSERT["quarantined_sites"],
+                               tuple(row)).rowcount > 0
+            rollups.quarantine_recorded(str(row[0]), inserted)
+            landed += inserted
+        return landed
 
     def quarantined_rows(self) -> List[Dict[str, Any]]:
         return [dict(row) for row in self.query(
@@ -701,7 +609,6 @@ class StorageController:
 
     def commit(self) -> None:
         with self._lock:
-            self._flush_locked()
             self.connection.commit()
 
     # ------------------------------------------------------------------
@@ -810,8 +717,6 @@ class StorageController:
     # ------------------------------------------------------------------
     def query(self, sql: str, params: Tuple = ()) -> List[sqlite3.Row]:
         with self._lock:
-            # Reads must observe rows still sitting in the batch buffers.
-            self._flush_locked()
             return list(self.connection.execute(sql, params))
 
     def javascript_records(self, visit_id: Optional[int] = None
@@ -883,7 +788,6 @@ class StorageController:
 
     def close(self) -> None:
         with self._lock:
-            self._flush_locked()
             self.connection.commit()
             self.connection.close()
 
@@ -897,53 +801,41 @@ class BrowserStorageHandle:
     to be globally current.
     """
 
-    __slots__ = ("_controller", "browser_id")
+    __slots__ = ("_recorder", "browser_id")
 
-    def __init__(self, controller: StorageController,
-                 browser_id: int) -> None:
-        self._controller = controller
+    def __init__(self, recorder: VisitRecorder, browser_id: int) -> None:
+        self._recorder = recorder
         self.browser_id = browser_id
-
-    @property
-    def connection(self) -> sqlite3.Connection:
-        return self._controller.connection
 
     # -- visit lifecycle ----------------------------------------------
     def begin_visit(self, site_url: str,
                     run_label: str = "") -> VisitContext:
-        return self._controller.begin_visit(self.browser_id, site_url,
-                                            run_label)
+        return self._recorder.begin_visit(self.browser_id, site_url,
+                                          run_label)
 
     def end_visit(self) -> None:
-        self._controller.end_visit(self.browser_id)
-
-    @property
-    def current_visit(self) -> Optional[VisitContext]:
-        return self._controller.active_visits().get(self.browser_id)
+        self._recorder.end_visit(self.browser_id)
 
     # -- row writers --------------------------------------------------
     def record_http_request(self, *args: Any, **kwargs: Any) -> None:
         kwargs["browser_id"] = self.browser_id
-        self._controller.record_http_request(*args, **kwargs)
+        self._recorder.record_http_request(*args, **kwargs)
 
     def record_http_response(self, *args: Any, **kwargs: Any) -> None:
         kwargs["browser_id"] = self.browser_id
-        self._controller.record_http_response(*args, **kwargs)
+        self._recorder.record_http_response(*args, **kwargs)
 
     def record_javascript(self, *args: Any, **kwargs: Any) -> None:
         kwargs["browser_id"] = self.browser_id
-        self._controller.record_javascript(*args, **kwargs)
+        self._recorder.record_javascript(*args, **kwargs)
 
     def record_cookie(self, *args: Any, **kwargs: Any) -> None:
         kwargs["browser_id"] = self.browser_id
-        self._controller.record_cookie(*args, **kwargs)
+        self._recorder.record_cookie(*args, **kwargs)
 
     def record_content(self, body: str, url: str,
                        content_type: str) -> str:
-        return self._controller.record_content(body, url, content_type)
+        return self._recorder.record_content(body, url, content_type)
 
     def record_crash(self, site_url: str, action: str) -> None:
-        self._controller.record_crash(self.browser_id, site_url, action)
-
-    def commit(self) -> None:
-        self._controller.commit()
+        self._recorder.record_crash(self.browser_id, site_url, action)

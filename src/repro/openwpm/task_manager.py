@@ -41,7 +41,7 @@ from repro.net.network import Network
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.openwpm.config import BrowserParams, ManagerParams
 from repro.openwpm.extension import OpenWPMExtension
-from repro.openwpm.storage import StorageController
+from repro.openwpm.storage import StorageController, VisitRecorder
 from repro.sched.jobs import COMPLETED, FAILED, PENDING
 from repro.sched.settle import COMPLETE, LOST, RETRY, TERMINAL
 
@@ -128,9 +128,9 @@ class ManagedBrowser:
     params: BrowserParams
     browser: Browser
     extension: OpenWPMExtension
-    #: The slot's own in-memory store: everything its visits record
-    #: lands here first and leaves as one envelope per job attempt.
-    store: StorageController
+    #: The slot's own recorder: everything its visits record is held
+    #: here and leaves as one envelope per job attempt.
+    store: VisitRecorder
     crash_count: int = 0
     #: Index into the slot's JS-instrument record stream at visit
     #: start; the slice from here is the visit's bundle trace.
@@ -140,11 +140,13 @@ class ManagedBrowser:
 class TaskManager:
     """Drives browsers over a list of sites with crash recovery.
 
-    Storage: each browser slot records into its own in-memory store
-    (``ManagedBrowser.store``); ``storage`` is the crawl database, and
-    only :meth:`settle_visit` writes it — one envelope per job attempt,
-    called by a :class:`~repro.sched.procpool.CrawlBroker` in scheduled
-    crawls and directly by ``crawl()``/``get()``.
+    Storage: each browser slot records into its own
+    :class:`~repro.openwpm.storage.VisitRecorder`
+    (``ManagedBrowser.store``), which opens no database; ``storage`` is
+    the crawl database, and only :meth:`settle_visit` writes it — one
+    envelope per job attempt, called by a
+    :class:`~repro.sched.procpool.CrawlBroker` in scheduled crawls and
+    directly by ``crawl()``/``get()``.
 
     Thread safety — ``execute_command_sequence`` runs concurrently on
     pool worker threads (one pinned browser slot each):
@@ -170,7 +172,7 @@ class TaskManager:
         self._rng = random.Random(manager_params.seed)
         self._js_instrument_factory = js_instrument_factory
         self.browsers: List[ManagedBrowser] = [
-            self._launch_browser(params, StorageController(rollups=False))
+            self._launch_browser(params, VisitRecorder())
             for params in browser_params]
         self._next_slot = 0
         self.failed_sites: List[str] = []
@@ -229,14 +231,14 @@ class TaskManager:
 
     # ------------------------------------------------------------------
     def _launch_browser(self, params: BrowserParams,
-                        store: StorageController) -> ManagedBrowser:
+                        store: VisitRecorder) -> ManagedBrowser:
         profile = openwpm_profile(
             params.os_name,
             "regular" if params.display_mode == "native"
             else params.display_mode,
             window_size=params.window_size,
             window_position=params.window_position)
-        # Each browser writes into its slot's store through a handle
+        # Each browser writes into its slot's recorder through a handle
         # pinning its browser_id.
         storage_handle = store.handle(params.browser_id)
         js_instrument = None
@@ -789,6 +791,4 @@ class TaskManager:
         if self.telemetry.enabled:
             self.storage.persist_telemetry(self.telemetry.snapshot())
         self.telemetry.journal.flush()
-        for slot in self.browsers:
-            slot.store.close()
         self.storage.close()

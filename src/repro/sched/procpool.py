@@ -4,8 +4,9 @@ The thread pool (:mod:`repro.sched.pool`) can *detect* a hung visit via
 the watchdog but cannot kill it — a wedged JS interpretation holds its
 thread (and the GIL) forever. This module gives the watchdog teeth:
 
-* each worker is a **spawned subprocess** owning one browser slot and a
-  worker-local in-memory :class:`StorageController`;
+* each worker is a **spawned subprocess** owning one browser slot,
+  which records into its own
+  :class:`~repro.openwpm.storage.VisitRecorder`;
 * workers claim jobs from the shared SQLite :class:`JobQueue` (WAL mode
   + busy timeout, wall-clock leases valid across processes);
 * every row a job attempt recorded travels as one envelope
@@ -401,7 +402,6 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     try:
         _serve_claims(spec, conn, telemetry, journal, faults, run_job)
     finally:
-        slot.store.close()
         manager.storage.close()
 
 
@@ -886,17 +886,9 @@ class ScanBroker(Broker):
 
         domain = message["site_url"]
         self.corpus.promote(domain, token)
-        dataset = self.dataset
-        dataset.front_only[domain] = classify_site(
-            domain, evidences[:1], corpus=self.corpus)
-        dataset.combined[domain] = classify_site(
-            domain, evidences, corpus=self.corpus)
-        dataset.evidence[domain] = evidences
-        dataset.subpage_visits += max(0, len(evidences) - 1)
-        dataset.visited_sites += 1
-        for evidence in evidences:
-            for _, digest in evidence.scripts:
-                dataset.unique_scripts.add(digest)
+        self.dataset.add_site(
+            domain, classify_site(domain, evidences[:1], corpus=self.corpus),
+            classify_site(domain, evidences, corpus=self.corpus), evidences)
 
 
 # ----------------------------------------------------------------------

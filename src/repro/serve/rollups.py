@@ -15,8 +15,9 @@ lesson): the rollups are never trusted on faith. Every aggregate has a
 *batch twin* computed straight from the raw tables (:func:`batch_state`)
 and the differential harness pins the two byte-for-byte across live
 incremental maintenance, cold backfill (:func:`build`), resume, and
-lease races. The maintenance hooks mirror every mutation path of
-:class:`repro.openwpm.storage.StorageController`. The crawl database
+lease races. The maintenance hooks are fed by the one insert path of
+:class:`repro.openwpm.storage.StorageController`,
+``record_envelope``. The crawl database
 is only ever appended to (a voided attempt's envelope is dropped
 before it is written), so the inverse hooks (``visit_retracted``,
 ``failed_retracted``, ``quarantine_retracted``) have no caller in the
@@ -142,11 +143,10 @@ TOTAL_NAMES = ("site_visits", "http_requests", "http_responses",
 class VisitDelta:
     """The rollup contribution of one visit, accumulated row by row.
 
-    Fed the *exact* tuples the storage controller buffers for its
-    batched INSERTs (``_BATCHED_COLUMNS`` order, leading ``visit_id``),
-    so the same ``add_row`` consumes live ``record_*`` appends and
-    broker-imported envelope rows alike — one code path, one
-    definition of every aggregate.
+    Fed the *exact* tuples ``StorageController.record_envelope``
+    inserts (column order of the visit tables, leading ``visit_id``),
+    and only from there — one code path, one definition of every
+    aggregate.
     """
 
     __slots__ = ("tables", "symbols", "resources", "cookie_hosts",
@@ -237,10 +237,11 @@ def generation(connection: sqlite3.Connection) -> int:
 class RollupMaintainer:
     """Keeps the rollup tables in lock-step with the raw tables.
 
-    Owned by a :class:`StorageController`; every hook is called with
-    the controller's lock held and joins whatever transaction the
-    caller is in, so a rollup update commits atomically with the raw
-    rows it mirrors (a crash can never land one without the other).
+    Owned by a :class:`StorageController` and fed only by its
+    ``record_envelope``; every hook is called with the controller's
+    lock held and joins the envelope's transaction, so a rollup update
+    commits (or rolls back) atomically with the raw rows it mirrors (a
+    crash can never land one without the other).
 
     When maintenance is disabled (``REPRO_ROLLUPS=off``) the hooks
     degrade to marking any existing rollups ``stale`` on the first raw
@@ -252,7 +253,6 @@ class RollupMaintainer:
                  enabled: bool = True) -> None:
         self.connection = connection
         self.enabled = enabled
-        self._stale_marked = False
         if enabled:
             self.ensure_schema()
 
@@ -326,12 +326,10 @@ class RollupMaintainer:
         """Should this mutation maintain rollups (vs mark them stale)?"""
         if self.enabled:
             return True
-        if not self._stale_marked:
-            self._stale_marked = True
-            if self.connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table' "
-                    "AND name = 'rollups_meta'").fetchone() is not None:
-                _meta_set(self.connection, "state", "stale")
+        # Read, not remembered: a rolled-back transaction takes its
+        # stale mark with it, so the next mutation must mark again.
+        if rollups_state(self.connection) == "fresh":
+            _meta_set(self.connection, "state", "stale")
         return False
 
     def _bump(self) -> None:
@@ -416,7 +414,7 @@ class RollupMaintainer:
              in delta.scripts.items()], sign, value_col="refs")
         self._bump()
 
-    # -- mutation hooks (called by StorageController) -----------------
+    # -- mutation hooks (called by StorageController.record_envelope) -
     def visit_committed(self, site_url: str,
                         delta: VisitDelta) -> None:
         if self._active():
@@ -464,7 +462,8 @@ class RollupMaintainer:
         """``content`` rows that actually landed (post OR IGNORE dedup).
 
         Content rows are visit-less and survive aborts, so they are
-        booked at flush time rather than through a visit delta.
+        booked from the envelope's insert count rather than through a
+        visit delta.
         """
         if count and self._active():
             self._add_total("content", count)

@@ -74,8 +74,8 @@ class TestCSVExport:
     def test_storage_export_table(self, tmp_path):
         storage = StorageController()
         storage.begin_visit(0, "https://x.test/")
-        storage.record_javascript("d", "s", "navigator.webdriver",
-                                  "get", "true")
+        storage.recorder.record_javascript("d", "s", "navigator.webdriver",
+                                           "get", "true")
         storage.end_visit()
         path = tmp_path / "javascript.csv"
         rows = storage.export_table_csv("javascript", str(path))

@@ -57,7 +57,8 @@ class TestFakeInjection:
         from repro.browser.profiles import openwpm_profile
 
         storage = StorageController()
-        extension = _make_extension(stealth=False, storage=storage)
+        extension = _make_extension(stealth=False,
+                                    storage=storage.recorder)
         storage.begin_visit(0, "https://lab.test/")
         source = (FAKE_INJECTION_ATTACK
                   .replace("__FAKE_SYMBOL__", "forged.symbol")
@@ -66,6 +67,7 @@ class TestFakeInjection:
                   .replace("__FAKE_SCRIPT_URL__", "https://x.test/s.js"))
         visit_with_scripts(openwpm_profile("ubuntu", "regular"), [source],
                            extension=extension)
+        storage.end_visit()
         rows = [r for r in storage.javascript_records()
                 if r["symbol"] == "forged.symbol"]
         assert rows and rows[0]["top_level_url"] == "https://lab.test/"

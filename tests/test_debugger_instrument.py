@@ -130,8 +130,9 @@ class TestZeroFootprint:
 
         storage = StorageController()
         storage.begin_visit(0, "https://lab.test/")
-        extension = debugger_extension(storage=storage)
+        extension = debugger_extension(storage=storage.recorder)
         visit_with_scripts(openwpm_profile("ubuntu", "regular"),
                            ["screen.availTop;"], extension=extension)
+        storage.end_visit()
         assert any(r["symbol"] == "Screen.availTop"
                    for r in storage.javascript_records())

@@ -111,10 +111,11 @@ class TestRecordingStillWorks:
         storage.begin_visit(0, "https://lab.test/")
         extension = OpenWPMExtension(
             BrowserParams(stealth=True),
-            storage=storage,
-            js_instrument=StealthJSInstrument(storage=storage))
+            storage=storage.recorder,
+            js_instrument=StealthJSInstrument(storage=storage.recorder))
         visit_with_scripts(openwpm_profile("ubuntu", "regular"),
                            ["navigator.userAgent;"], extension=extension)
+        storage.end_visit()
         assert any(r["symbol"] == "Navigator.userAgent"
                    for r in storage.javascript_records())
 

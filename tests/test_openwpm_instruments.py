@@ -61,10 +61,12 @@ class TestJSInstrumentRecording:
         from repro.openwpm.storage import StorageController
 
         storage = StorageController()
-        extension = OpenWPMExtension(BrowserParams(), storage=storage)
+        extension = OpenWPMExtension(BrowserParams(),
+                                     storage=storage.recorder)
         storage.begin_visit(0, LAB_URL)
         visit_with_scripts(openwpm_profile("ubuntu", "regular"),
                            ["navigator.userAgent;"], extension=extension)
+        storage.end_visit()
         assert any(r["symbol"] == "navigator.userAgent"
                    for r in storage.javascript_records())
 

@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from repro.openwpm.storage import StorageController
+from repro.openwpm.storage import StorageController, VisitRecorder
 from repro.serve import (
     ROLLUP_SCHEMA_VERSION,
     build,
@@ -26,18 +26,21 @@ SITE = "https://lab.test/site-00000"
 
 
 def visit(storage, site=SITE, js=(), cookies=0, requests=0):
-    storage.begin_visit(0, site)
+    """One visit recorded by *storage*'s own recorder (a controller)
+    or by a bare recorder."""
+    recorder = getattr(storage, "recorder", storage)
+    recorder.begin_visit(0, site)
     for symbol in js:
-        storage.record_javascript(site, site + "/app.js", symbol,
-                                  "get", "", browser_id=0)
+        recorder.record_javascript(site, site + "/app.js", symbol,
+                                   "get", "", browser_id=0)
     for i in range(cookies):
-        storage.record_cookie("explicit", "tracker.test", f"c{i}", "v",
-                              "/", False, False, None, site, True,
-                              browser_id=0)
+        recorder.record_cookie("explicit", "tracker.test", f"c{i}", "v",
+                               "/", False, False, None, site, True,
+                               browser_id=0)
     for i in range(requests):
-        storage.record_http_request(site + f"/r{i}", site, site, "GET",
-                                    "script", True, browser_id=0)
-    storage.end_visit(0)
+        recorder.record_http_request(site + f"/r{i}", site, site, "GET",
+                                     "script", True, browser_id=0)
+    recorder.end_visit(0)
 
 
 def site_counter(storage, column, site=SITE):
@@ -55,13 +58,14 @@ class TestLifecycle:
         storage.close()
 
     def test_disabled_maintenance_marks_existing_rollups_stale(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         db_path = str(tmp_path / "crawl.db")
         storage = StorageController(db_path)
         visit(storage, js=["window.fetch"])
         storage.close()
 
-        storage = StorageController(db_path, rollups=False)
+        monkeypatch.setenv("REPRO_ROLLUPS", "off")
+        storage = StorageController(db_path)
         assert not storage.rollups.enabled
         # The first raw mutation invalidates the now-unmaintained
         # rollups; a served answer must go missing, never drift.
@@ -72,6 +76,31 @@ class TestLifecycle:
         # Backfill repairs it.
         build(storage.connection)
         assert verify(storage.connection)["ok"]
+        storage.close()
+
+    def test_rolled_back_envelope_keeps_the_stale_mark(
+            self, tmp_path, monkeypatch):
+        """With maintenance off, an envelope that fails after its first
+        visit rolls back the stale mark it made; the next write must
+        make it again, or unmaintained rollups would read fresh."""
+        db_path = str(tmp_path / "crawl.db")
+        storage = StorageController(db_path)
+        visit(storage)
+        storage.close()
+
+        monkeypatch.setenv("REPRO_ROLLUPS", "off")
+        storage = StorageController(db_path)
+        slot = VisitRecorder()
+        visit(slot, site=SITE + "a")
+        visit(slot, site=SITE + "b")
+        broken = slot.take_envelope()
+        broken["visits"][1]["tables"]["no_such_table"] = [(2, 0)]
+        with pytest.raises(ValueError):
+            storage.record_envelope(**broken)
+        assert rollups_state(storage.connection) == "fresh"
+        visit(slot, site=SITE + "c")
+        storage.record_envelope(**slot.take_envelope())
+        assert rollups_state(storage.connection) == "stale"
         storage.close()
 
     def test_env_var_disables_maintenance(self, tmp_path,
@@ -138,16 +167,17 @@ class TestIncrementalAccounting:
         storage.close()
 
     def test_recorded_envelope_folds_like_a_live_visit(self):
-        slot = StorageController(":memory:", rollups=False)
+        slot = VisitRecorder()
         visit(slot, js=["navigator.webdriver"], cookies=2, requests=3)
         slot.record_crash(0, SITE, "crash")
         slot.record_failed_visit(0, SITE, 3, "crash_loop")
         slot.record_quarantine(SITE, 3, "crash_loop")
+        slot.record_quarantine(SITE, 4, "crash_loop")  # one row per site
         live = StorageController(":memory:")
         visit(live, js=["navigator.webdriver"], cookies=2, requests=3)
-        live.record_crash(0, SITE, "crash")
-        live.record_failed_visit(0, SITE, 3, "crash_loop")
-        live.record_quarantine(SITE, 3, "crash_loop")
+        live.recorder.record_crash(0, SITE, "crash")
+        live.recorder.record_failed_visit(0, SITE, 3, "crash_loop")
+        live.recorder.record_quarantine(SITE, 3, "crash_loop")
 
         storage = StorageController(":memory:")
         assert storage.record_envelope(**slot.take_envelope()) == 1
@@ -156,18 +186,18 @@ class TestIncrementalAccounting:
                        "crashes", "webdriver_probes"):
             assert site_counter(storage, column) \
                 == site_counter(live, column), column
-        for store in (slot, live, storage):
+        for store in (live, storage):
             store.close()
 
     def test_content_rows_booked_once_despite_dedup(self):
         storage = StorageController(":memory:")
         storage.begin_visit(0, SITE)
-        storage.record_content("var x = 1;", SITE + "/a.js",
-                               "text/javascript")
+        storage.recorder.record_content("var x = 1;", SITE + "/a.js",
+                                        "text/javascript")
         storage.end_visit(0)
         storage.begin_visit(0, SITE)
-        storage.record_content("var x = 1;", SITE + "/b.js",
-                               "text/javascript")
+        storage.recorder.record_content("var x = 1;", SITE + "/b.js",
+                                        "text/javascript")
         storage.end_visit(0)
         totals = {row["name"]: row["value"] for row in storage.query(
             "SELECT name, value FROM rollups_totals")}
@@ -180,12 +210,12 @@ class TestIncrementalAccounting:
     def test_aborted_visit_contributes_nothing_but_content(self):
         storage = StorageController(":memory:")
         storage.begin_visit(0, SITE)
-        storage.record_javascript(SITE, SITE + "/app.js",
-                                  "navigator.webdriver", "get", "",
-                                  browser_id=0)
-        storage.record_content("payload();", SITE + "/app.js",
-                               "text/javascript")
-        storage.abort_visit(0)
+        storage.recorder.record_javascript(SITE, SITE + "/app.js",
+                                           "navigator.webdriver", "get",
+                                           "", browser_id=0)
+        storage.recorder.record_content("payload();", SITE + "/app.js",
+                                        "text/javascript")
+        storage.recorder.abort_visit(0)
         totals = {row["name"]: row["value"] for row in storage.query(
             "SELECT name, value FROM rollups_totals")}
         assert totals.get("javascript", 0) == 0

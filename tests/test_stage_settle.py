@@ -5,7 +5,7 @@ Pins the exactly-once ledger through the lease races that used to need
 retractions (a lost attempt's rows are dropped before they are ever
 written), the equality of thread and process crawls under the same
 race, the byte-identity of fault-free crawls at any thread count, and
-that slot stores do not grow with the crawl.
+that slot recorders do not grow with the crawl and open no database.
 """
 
 import sqlite3
@@ -277,10 +277,27 @@ class TestSlotStores:
         assert manager.storage.query(
             "SELECT COUNT(*) AS n FROM site_visits")[0]["n"] == 20
         for slot in manager.browsers:
-            for table in ("site_visits", "http_requests", "content",
-                          "crash_history"):
-                assert slot.store.query(
-                    f"SELECT COUNT(*) AS n FROM {table}")[0]["n"] == 0
+            envelope = slot.store.take_envelope()
+            assert envelope["visits"] == envelope["content"] == []
+            assert not any(envelope["ledger"].values())
+        manager.close()
+
+
+    def test_browser_slots_open_no_database(self, monkeypatch):
+        """N browser slots, one storage connection: the crawl
+        database's. A slot records into plain Python."""
+        opened = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args[0] if args else kwargs.get("database"))
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        manager = make_manager(browsers=3)
+        assert opened == [":memory:"]
+        manager.crawl(URLS[:3])
+        assert opened == [":memory:"]
         manager.close()
 
 
