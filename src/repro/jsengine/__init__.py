@@ -1,4 +1,4 @@
-"""A small JavaScript engine (lexer, parser, two execution backends).
+"""A small JavaScript engine (lexer, parser, closure compiler).
 
 The engine executes the JavaScript subset used by the synthetic web's
 scripts: bot detectors, trackers, attack payloads, and the instrumentation
@@ -7,13 +7,15 @@ injected by OpenWPM. Scripts are real JS source text, so the paper's
 analysis (recorded property accesses during execution) both operate on
 the same artifacts they would in the field.
 
-Execution backends: the reference tree-walking interpreter
-(``REPRO_JS_COMPILE=off``) and a closure-compilation fast path
-(:mod:`repro.jsengine.compiler`, the default) pinned to identical
-observable behaviour — results, budget op counts, stack traces, and
-instrument event order. Parsed programs live in a process-wide LRU
-keyed by the source's sha256 (the same content hash the corpus store
-uses), with compiled closure trees attached to the cached ASTs.
+Execution: :mod:`repro.jsengine.compiler` lowers each parsed program
+to a tree of Python closures that run against an
+:class:`Interpreter` (realm, scopes, call stack, op budget). What a
+page can observe — results, budget op counts, stack traces and
+instrument event order — is pinned case by case by recorded
+expectations (``tests/golden/jsengine_cases.json``). Parsed programs
+live in a process-wide LRU keyed by the source's sha256 (the same
+content hash the corpus store uses), with compiled closure trees
+attached to the cached ASTs.
 
 Supported language: ``var``/``let``/``const``, functions (declarations,
 expressions, arrows), closures, ``this``, ``new``, prototypes, objects,
@@ -29,10 +31,8 @@ from repro.jsengine.interpreter import (
     ScriptFunction,
     ast_cache_stats,
     clear_ast_cache,
-    compile_enabled,
     export_cache_metrics,
     parse_cached,
-    set_compile_enabled,
     source_digest,
     warm_compile_cache,
 )
@@ -48,10 +48,8 @@ __all__ = [
     "ScriptFunction",
     "ast_cache_stats",
     "clear_ast_cache",
-    "compile_enabled",
     "export_cache_metrics",
     "parse_cached",
-    "set_compile_enabled",
     "source_digest",
     "warm_compile_cache",
 ]

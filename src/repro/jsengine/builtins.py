@@ -671,7 +671,7 @@ class Realm:
                              interp: Any) -> Any:
         # Exact-type dispatch: engine values are always exact str/float/
         # bool (the lexer and coercions never produce subclasses), and
-        # this is the hottest builtins path under the compiled backend
+        # this is the hottest builtins path of compiled code
         # (every `s.length` / `s.charCodeAt(...)` on a primitive lands
         # here).
         kind = type(value)

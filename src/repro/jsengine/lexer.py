@@ -178,7 +178,7 @@ class Lexer:
             self._advance()
         # Interning collapses the thousands of repeated identifier
         # lexemes across a corpus into shared singletons, so the scope
-        # dict lookups in both execution backends hash pre-cached
+        # dict lookups of compiled code hash pre-cached
         # pointers instead of fresh slices.
         text = sys.intern(self.source[start:self.pos])
         kind = "keyword" if text in KEYWORDS else "ident"
