@@ -304,9 +304,11 @@ class SiteServer(Server):
     def _analytics_beacon(self, client: ClientIdentity) -> HttpResponse:
         if self._site_flagged.get(client.client_id):
             return HttpResponse(status=204, content_type="text/plain")
+        # A pure function of site and client, so a seeded crawl sets
+        # the same uid in every run and every worker process.
         uid = hashlib.sha256(
-            f"{self.config.domain}:{client.client_id}:"
-            f"{id(self)}".encode()).hexdigest()[:20]
+            f"{self.config.domain}:{client.client_id}".encode()
+        ).hexdigest()[:20]
         return HttpResponse(
             status=204, content_type="text/plain",
             set_cookies=[SetCookie("_fp_uid", uid, max_age=86400 * 180)])

@@ -13,11 +13,6 @@ crawl table and every ``rollups_*`` table (except the volatile
 * ``tranco_js`` — a small JS-instrumented crawl of the synthetic web
   that saves script content.
 
-One value is left out: the ``_fp_uid`` cookie the synthetic web's
-analytics beacon sets embeds ``id()`` of its server object
-(``repro.web.servers``), so it differs from run to run; its rows are
-pinned with the value blanked.
-
 Regenerate (only for a deliberate change to what a crawl records) with
 ``REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest
 tests/test_crawl_golden.py -q``.
@@ -64,12 +59,6 @@ CRAWLS = {
 }
 
 
-def _blank_run_local(row: tuple) -> tuple:
-    # (id, visit_id, browser_id, record_type, change_cause, host,
-    #  name, value, ...): the beacon's uid varies per run.
-    return row[:7] + ("",) + row[8:] if row[6] == "_fp_uid" else row
-
-
 def table_digests(db_path: str) -> dict:
     """``table -> {"rows": n, "sha256": digest}``, rows in primary-key
     order (rowid order for tables without a declared key)."""
@@ -88,8 +77,6 @@ def table_digests(db_path: str) -> dict:
             order = ", ".join(keys) if keys else "rowid"
             rows = conn.execute(
                 f"SELECT * FROM {table} ORDER BY {order}").fetchall()
-            if table == "javascript_cookies":
-                rows = [_blank_run_local(row) for row in rows]
             digest = hashlib.sha256(
                 json.dumps(rows, default=repr).encode()).hexdigest()
             out[table] = {"rows": len(rows), "sha256": digest}

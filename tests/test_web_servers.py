@@ -99,6 +99,18 @@ class TestSiteServer:
         response = get(server, "https://www.unit.test/analytics/collect")
         assert any(c.name == "_fp_uid" for c in response.set_cookies)
 
+    def test_analytics_uid_is_the_same_from_a_fresh_server(self):
+        def uid(server, client="unit-client"):
+            response = get(server, "https://www.unit.test/analytics/collect",
+                           client=ClientIdentity(client))
+            return next(c.value for c in response.set_cookies
+                        if c.name == "_fp_uid")
+
+        first = uid(SiteServer(make_config()))
+        assert first == uid(SiteServer(make_config()))
+        assert len(first) == 20 and set(first) <= set("0123456789abcdef")
+        assert uid(SiteServer(make_config()), "other-client") != first
+
     def test_unknown_path_404(self):
         assert get(SiteServer(make_config()),
                    "https://www.unit.test/nothing-here").status == 404
