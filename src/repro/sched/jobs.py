@@ -5,7 +5,10 @@ One row per site. Jobs move ``pending → leased → completed | failed``:
 * ``claim`` leases the lowest-id ready job to a worker and consumes one
   attempt; the lease carries an expiry time, so a worker that dies
   mid-job does not strand the site — :meth:`reclaim_expired` returns the
-  job to ``pending`` (or ``failed`` once attempts are exhausted).
+  job to ``pending``. A job out of attempts is not committed ``failed``
+  there: it stays leased to :data:`RECLAIM_OWNER` with no expiry, held
+  for the caller to fail through :meth:`fail`, whose transition also
+  commits the job's ledger row.
 * ``fail`` with ``retry=True`` re-queues the job with exponential
   backoff; the jitter added to each delay is *deterministic* — derived
   from ``(seed, site_url, attempt)`` — so a re-run of the same crawl
@@ -41,6 +44,10 @@ LEASED = "leased"
 COMPLETED = "completed"
 FAILED = "failed"
 STATES = (PENDING, LEASED, COMPLETED, FAILED)
+
+#: Who holds an expired lease that ran out of attempts, until the
+#: caller fails it (:meth:`JobQueue.fail`).
+RECLAIM_OWNER = "reclaim"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -82,18 +89,19 @@ class Job:
 class ReclaimResult:
     """What one :meth:`JobQueue.reclaim_expired` sweep did.
 
-    ``requeued`` leases went back to ``pending``; ``failed_jobs`` had
-    no attempts left and went terminal — the caller settles those
-    (:func:`repro.sched.settle.record_reclaim`) so the loss ledger
-    stays complete.
+    ``requeued`` leases went back to ``pending``; ``exhausted_jobs``
+    had no attempts left and are held, still leased, by
+    :data:`RECLAIM_OWNER` — the caller fails each one through
+    :meth:`JobQueue.fail` (:func:`repro.sched.settle.record_reclaim`),
+    so its loss-ledger row commits with the transition.
     """
 
     requeued: int = 0
-    failed_jobs: List[Job] = field(default_factory=list)
+    exhausted_jobs: List[Job] = field(default_factory=list)
 
     @property
     def total(self) -> int:
-        return self.requeued + len(self.failed_jobs)
+        return self.requeued + len(self.exhausted_jobs)
 
     def __bool__(self) -> bool:
         return self.total > 0
@@ -360,8 +368,8 @@ class JobQueue:
         """Return timed-out leases to the queue (worker died mid-job).
 
         Jobs with attempts left go back to ``pending`` (with backoff);
-        exhausted jobs go terminally ``failed`` and are returned in
-        ``failed_jobs`` so the caller can record the loss.
+        exhausted jobs are held for the caller and returned in
+        ``exhausted_jobs``.
         """
         with self._lock:
             return self._release("lease_expires_at < ?",
@@ -375,42 +383,41 @@ class JobQueue:
         owner is dead, so any lease it held is stale *now*), and unlike
         :meth:`release_leases` it touches only that owner's leases so
         live siblings keep theirs. Jobs with attempts left go back to
-        ``pending`` with backoff; exhausted jobs go terminally
-        ``failed`` and are returned so the caller can record the loss.
+        ``pending`` with backoff; exhausted jobs are held for the caller
+        as in :meth:`reclaim_expired`.
         """
         with self._lock:
             return self._release("lease_owner = ?", (owner,))
 
     def _release(self, where: str, params: tuple) -> ReclaimResult:
-        """Requeue (or, out of attempts, fail) the leased jobs matching
-        *where*. Caller holds ``self._lock``."""
+        """Requeue (or, out of attempts, hold for the caller) the leased
+        jobs matching *where*. Caller holds ``self._lock``."""
         now = self.clock.peek()
         rows = self._conn.execute(
             "SELECT job_id, site_url, attempts, max_attempts, "
-            "enqueued_at, claimed_at, lease_owner "
+            "enqueued_at, claimed_at "
             f"FROM jobs WHERE status = ? AND {where}",  # noqa: S608
             (LEASED,) + params).fetchall()
         result = ReclaimResult()
         for row in rows:
             if row["attempts"] < row["max_attempts"]:
                 delay = self.retry_delay(row["site_url"], row["attempts"])
-                status, not_before, finished_at = PENDING, now + delay, None
+                status, not_before, owner = PENDING, now + delay, None
                 result.requeued += 1
             else:
-                status, not_before, finished_at = FAILED, None, now
-                result.failed_jobs.append(Job(
+                status, not_before, owner = LEASED, None, RECLAIM_OWNER
+                result.exhausted_jobs.append(Job(
                     job_id=row["job_id"], site_url=row["site_url"],
                     attempts=row["attempts"],
                     enqueued_at=row["enqueued_at"],
                     claimed_at=row["claimed_at"] or 0.0,
-                    lease_owner=row["lease_owner"] or ""))
+                    lease_owner=RECLAIM_OWNER))
             self._conn.execute(
                 "UPDATE jobs SET status = ?, "
                 "not_before = COALESCE(?, not_before), "
-                "finished_at = COALESCE(?, finished_at), "
-                "lease_owner = NULL, lease_expires_at = NULL, "
+                "lease_owner = ?, lease_expires_at = NULL, "
                 "last_error = 'lease_expired' WHERE job_id = ?",
-                (status, not_before, finished_at, row["job_id"]))
+                (status, not_before, owner, row["job_id"]))
         if rows:
             self._conn.commit()
         return result

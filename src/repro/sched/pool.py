@@ -184,7 +184,7 @@ class WorkerPool:
         while not self._stop.is_set():
             reclaimed = record_reclaim(
                 self.telemetry, owner, self.queue.reclaim_expired(),
-                self.broker.finalize_reclaimed)
+                self._hand_over)
             if reclaimed:
                 with report.lock:
                     report.reclaimed += reclaimed

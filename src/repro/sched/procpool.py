@@ -706,7 +706,7 @@ class ProcessPool:
         self.broker.force_owner(slot.owner)
         self.report.reclaimed += record_reclaim(
             self.tm, slot.owner, self.queue.release_owner(slot.owner),
-            self.broker.finalize_reclaimed)
+            self.broker.handle_resolution)
         if self._stop_sent:
             return
         if slot.deaths > self.respawn_limit:
@@ -758,7 +758,7 @@ class ProcessPool:
         self._last_reclaim = now
         self.report.reclaimed += record_reclaim(
             self.tm, "supervisor", self.queue.reclaim_expired(),
-            self.broker.finalize_reclaimed)
+            self.broker.handle_resolution)
 
     def _publish_depth(self) -> None:
         for state, value in self.queue.counts().items():

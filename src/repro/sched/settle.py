@@ -1,9 +1,9 @@
 """Settling a job attempt's outcome against the queue, in one place.
 
-Every verdict a worker reaches — completed, sent back for retry,
-terminally failed, or terminal because its lease expired — is booked
-here, whether it comes from a pool thread or from a process broker
-applying a shipped envelope:
+Every verdict a worker reaches — completed, sent back for retry, or
+terminally failed — is booked here, whether it comes from a pool
+thread or from a process broker applying a shipped envelope, and so is
+each lease-expiry terminal a reclaim sweep finds:
 
 * the queue transition (``complete``/``fail``), with a
   :class:`~repro.sched.jobs.LeaseError` mapped to the ``lost`` state:
@@ -14,7 +14,9 @@ applying a shipped envelope:
 * one shared :class:`SettleTally` (the pool report, or a broker's).
 
 Reclaim sweeps book through :func:`record_reclaim`, which hands each
-job that went terminal back to the caller to settle as ``RECLAIMED``.
+job the sweep held out of attempts to the caller as a ``terminal``
+resolution; settling it fails the job like any other terminal, so its
+ledger row is staged inside the queue transition.
 
 A :class:`Broker` is what both pools hand every resolution to. It
 settles final verdicts in strict job-id order and is the one place an
@@ -34,7 +36,6 @@ from repro.obs.telemetry import coalesce
 from repro.sched.jobs import (
     COMPLETED,
     FAILED,
-    Job,
     JobQueue,
     LeaseError,
     ReclaimResult,
@@ -44,9 +45,6 @@ from repro.sched.jobs import (
 COMPLETE = "complete"
 RETRY = "retry"
 TERMINAL = "terminal"
-#: Terminal without reaching a worker's ``fail``: the reclaim sweep
-#: already moved the job to ``failed``.
-RECLAIMED = "reclaimed"
 
 #: Settled state of an attempt whose verdict a lost lease voided
 #: (besides the queue's own ``completed``/``failed``/``pending``).
@@ -86,11 +84,6 @@ def settle(queue: Any, telemetry: Any, tally: SettleTally, job_id: int,
         if outcome == COMPLETE:
             queue.complete(job_id, owner, stage=stage)
             state = COMPLETED
-        elif outcome == RECLAIMED:
-            # The reclaim sweep already committed the job as failed.
-            state = FAILED
-            if stage is not None:
-                stage(state)
         else:
             state = queue.fail(job_id, owner, error,
                                retry=outcome == RETRY, stage=stage)
@@ -121,23 +114,26 @@ def settle(queue: Any, telemetry: Any, tally: SettleTally, job_id: int,
 
 
 def record_reclaim(telemetry: Any, owner: str, reclaim: ReclaimResult,
-                   settle_expired: Callable[[Any], Any]) -> int:
+                   hand_over: Callable[[Dict[str, Any]], Any]) -> int:
     """Book one reclaim sweep (expired leases, or a dead worker's
     released ones); returns how many leases it took back.
 
-    A reclaimed job with no attempts left went terminal without ever
-    reaching a worker's ``fail``: ``settle_expired(job)`` must settle
-    it as :data:`RECLAIMED`, or the site would vanish from the books.
+    A reclaimed job with no attempts left is held, still leased, for
+    its terminal: ``hand_over`` gets its ``lease_expired`` resolution
+    (a broker's ``handle_resolution``), or the site would stay leased
+    until ``--resume``.
     """
     if not reclaim:
         return 0
     telemetry.metrics.counter("sched_lease_reclaims").inc(reclaim.total)
     telemetry.journal.emit("lease_reclaim", owner=owner,
                            count=reclaim.total)
-    for job in reclaim.failed_jobs:
+    for job in reclaim.exhausted_jobs:
         telemetry.journal.emit("lease_expired_terminal",
                                job_id=job.job_id, url=job.site_url)
-        settle_expired(job)
+        hand_over({"job_id": job.job_id, "site_url": job.site_url,
+                   "owner": job.lease_owner, "attempts": job.attempts,
+                   "kind": TERMINAL, "error": LEASE_EXPIRED})
     return reclaim.total
 
 
@@ -150,8 +146,8 @@ class _Finalizer:
     The broker's guarantee that a clean N-worker crawl produces the
     same ids and row order as the inline path: a final for job J waits
     until every job with a smaller id is finalized (applied, terminal
-    at startup for resumes, or terminal out-of-band through a
-    retry-exhaustion or reclaim). A waiting final holds its job's lease
+    at startup for resumes, or terminal out-of-band through retry
+    exhaustion). A waiting final holds its job's lease
     (:meth:`JobQueue.hold`) so no reclaim takes the job meanwhile.
     Apply callables return True when the job is settled, False when
     its verdict was voided by a lost lease (the re-run will produce
@@ -183,7 +179,7 @@ class _Finalizer:
 
     def mark_terminal(self, job_id: int) -> None:
         """A job went terminal outside the ordered path (immediate
-        retry-exhaustion or reclaim) — unblock the cursor."""
+        retry exhaustion) — unblock the cursor."""
         self._finalize(job_id)
         self._drain()
 
@@ -274,15 +270,6 @@ class Broker:
             elif self._apply(message) == FAILED:
                 # Retry exhaustion: terminal outside the ordered path.
                 self.finalizer.mark_terminal(message["job_id"])
-
-    def finalize_reclaimed(self, job: Job) -> None:
-        """Order the ledger entry of a job a reclaim made terminal."""
-        message = {"job_id": job.job_id, "site_url": job.site_url,
-                   "owner": "", "attempts": job.attempts,
-                   "kind": RECLAIMED, "error": LEASE_EXPIRED}
-        with self.lock:
-            self.finalizer.submit(job.job_id, "",
-                                  lambda: self._apply(message) != LOST)
 
     def force_owner(self, owner: str) -> None:
         with self.lock:

@@ -31,7 +31,13 @@ from repro.obs.runner import run_telemetry_crawl
 from repro.obs.stats import build_crawl_report, render_crawl_report
 from repro.obs.telemetry import Telemetry
 from repro.sched import JobQueue, diff_snapshots
+from repro.openwpm.storage import StorageController
 from repro.sched.settle import _Finalizer
+from tests.test_stage_settle import (
+    ProcessDied,
+    assert_each_site_ends_once,
+    die_writing_lease_expiry,
+)
 
 #: Tables whose bytes legitimately differ between runs: telemetry row
 #: counts depend on scheduling, and sqlite_sequence tracks the
@@ -222,6 +228,44 @@ class TestProcFaults:
             "FROM site_visits").fetchone()
         conn.close()
         assert rows == (4, 4)
+
+    def test_crash_writing_a_lease_expiry_row_leaves_the_site_to_resume(
+            self, tmp_path, monkeypatch):
+        """The process-pool run of the lease-expiry crash in
+        ``test_stage_settle.py``: a real-time hang outlives the lease,
+        the supervisor's reclaim finds the job out of attempts, and the
+        coordinator dies writing its ``failed_visits`` row. The job
+        stays leased, and the resume re-runs the site."""
+        monkeypatch.setattr(StorageController, "record_envelope",
+                            die_writing_lease_expiry(
+                                StorageController.record_envelope))
+        db_path = str(tmp_path / "died.db")
+        queue_path = str(tmp_path / "died.queue")
+        plan = FaultPlan([FaultRule(fault="hang", point="proc.mid_visit",
+                                    times=1, seconds=3.0)])
+        with pytest.raises(ProcessDied):
+            run_telemetry_crawl(
+                site_count=1, seed=7, database_path=db_path,
+                crash_probability=0.0, browsers=1, web="lab",
+                queue_path=queue_path, worker_procs=1, max_attempts=1,
+                lease_seconds=1.0, fault_plan=plan)
+        # The coordinator's daemon workers die with it.
+        for child in multiprocessing.active_children():
+            child.terminate()
+            child.join(timeout=10)
+        queue = JobQueue(queue_path)
+        assert queue.counts()["leased"] == 1
+        queue.close()
+
+        result = run_telemetry_crawl(
+            site_count=1, seed=7, database_path=db_path,
+            crash_probability=0.0, browsers=1, web="lab",
+            queue_path=queue_path, worker_procs=1, max_attempts=1,
+            resume=True)
+        assert result.report.completed == 1
+        assert_each_site_ends_once(result.manager, queue_path,
+                                   result.urls)
+        result.close()
 
     def test_respawn_failure_shrinks_pool_then_resume_finishes(
             self, tmp_path):

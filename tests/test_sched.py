@@ -18,6 +18,7 @@ from repro.sched import (
     WorkerPool,
     jitter_fraction,
 )
+from repro.sched.jobs import RECLAIM_OWNER
 
 SITES = [f"https://site-{i}.test/" for i in range(6)]
 
@@ -120,19 +121,32 @@ class TestJobQueue:
         queue.clock.advance(11.0)
         reclaim = queue.reclaim_expired()
         assert reclaim.total == 1
-        assert reclaim.requeued == 1 and not reclaim.failed_jobs
+        assert reclaim.requeued == 1 and not reclaim.exhausted_jobs
         assert queue.counts()[PENDING] == 1
         row = queue.job_rows()[0]
         assert row["last_error"] == "lease_expired"
 
     def test_reclaim_expired_exhausted_goes_terminal(self):
+        """An exhausted lease is held for its terminal, not committed
+        ``failed``: the caller's ``fail`` commits it with the ledger
+        row it stages."""
         queue = JobQueue(lease_seconds=10.0, max_attempts=1)
         queue.enqueue(SITES[:1])
         queue.claim("dead-worker")
         queue.clock.advance(11.0)
         reclaim = queue.reclaim_expired()
         assert reclaim.total == 1
-        assert [job.site_url for job in reclaim.failed_jobs] == SITES[:1]
+        [job] = reclaim.exhausted_jobs
+        assert job.site_url == SITES[0]
+        assert job.lease_owner == RECLAIM_OWNER
+        row = queue.job_rows()[0]
+        assert (row["status"], row["lease_owner"], row["lease_expires_at"],
+                row["last_error"]) == (LEASED, RECLAIM_OWNER, None,
+                                       "lease_expired")
+        queue.clock.advance(1e6)
+        assert queue.reclaim_expired().total == 0  # held: no expiry
+        assert queue.fail(job.job_id, job.lease_owner, "lease_expired",
+                          retry=False) == FAILED
         assert queue.counts()[FAILED] == 1
 
     def test_release_leases_ignores_expiry(self):

@@ -19,11 +19,17 @@ from repro.openwpm.task_manager import (
     WRITE,
     visit_ledger_ops,
 )
-from repro.sched import COMPLETED, FAILED, PENDING, JobQueue, WorkerPool
+from repro.sched import (
+    COMPLETED,
+    FAILED,
+    LEASED,
+    PENDING,
+    JobQueue,
+    WorkerPool,
+)
 from repro.sched.settle import (
     COMPLETE,
     LOST,
-    RECLAIMED,
     RETRY,
     TERMINAL,
     SettleTally,
@@ -64,7 +70,10 @@ class TestSettle:
                      "sched_jobs_retried", "sched_leases_lost"):
             assert metrics.counter_value(name) == 1, name
 
-    def test_reclaimed_terminal_is_booked_once_without_a_queue_call(self):
+    def test_reclaimed_terminal_is_booked_once_through_fail(self):
+        """An expired lease out of attempts stays leased until its
+        terminal settles: a ledger write that fails rolls the queue's
+        ``failed`` back with it."""
         telemetry = Telemetry()
         tally = SettleTally()
         queue = JobQueue(max_attempts=1, lease_seconds=1.0,
@@ -73,11 +82,22 @@ class TestSettle:
         queue.claim("dead")
         telemetry.clock.advance(5.0)
         settled = []
-        reclaimed = record_reclaim(
-            telemetry, "w1", queue.reclaim_expired(),
-            lambda job: settled.append(settle(
-                queue, telemetry, tally, job.job_id, job.site_url, "",
-                RECLAIMED, "lease_expired")))
+
+        def hand_over(message):
+            args = (queue, telemetry, tally, message["job_id"],
+                    message["site_url"], message["owner"],
+                    message["kind"], message["error"])
+
+            def broken_ledger(state):
+                raise RuntimeError("ledger write failed")
+
+            with pytest.raises(RuntimeError):
+                settle(*args, stage=broken_ledger)
+            assert queue.counts()[LEASED] == 1
+            settled.append(settle(*args))
+
+        reclaimed = record_reclaim(telemetry, "w1",
+                                   queue.reclaim_expired(), hand_over)
         assert reclaimed == 1
         assert settled == [FAILED]
         assert tally.failed == 1
@@ -125,6 +145,9 @@ class TestSettle:
 # ----------------------------------------------------------------------
 # The ledger rules, over every outcome x settled state x attempt record
 # ----------------------------------------------------------------------
+#: A lease-expiry terminal: a reclaim sweep's ``terminal`` resolution,
+#: for which no attempt of ours recorded anything.
+RECLAIMED = "reclaimed"
 #: outcome -> the states settling it can end in.
 STATES = {COMPLETE: (COMPLETED, LOST), RETRY: (PENDING, FAILED, LOST),
           TERMINAL: (FAILED, LOST), RECLAIMED: (FAILED,)}

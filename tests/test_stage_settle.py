@@ -109,6 +109,27 @@ def steal_lease_once(queue_path, stolen):
     return steal
 
 
+class ProcessDied(BaseException):
+    """The crawl process dying mid-write: no handler catches it."""
+
+
+def die_writing_lease_expiry(record_envelope):
+    """*record_envelope* (bound or not), but the first envelope carrying
+    a ``lease_expired`` given-up row kills the process mid-transaction.
+    The ledger is the last positional argument, as the broker passes
+    it."""
+    died = []
+
+    def record(*args):
+        if not died and any(row[3] == "lease_expired" for row
+                            in args[-1].get("failed_visits", ())):
+            died.append(True)
+            raise ProcessDied()
+        return record_envelope(*args)
+
+    return record
+
+
 class TestLedgerRaces:
     @pytest.mark.parametrize("seed", range(10))
     def test_hang_and_crash_on_two_threads_end_every_site_once(
@@ -207,6 +228,36 @@ class TestLedgerRaces:
         metrics = manager.telemetry.metrics
         assert metrics.counter_value("sites_quarantined_voided") == 1
         assert metrics.counter_value("sites_quarantined") == 2
+        assert_each_site_ends_once(manager, queue_path, URLS[:1])
+        manager.close()
+
+    def test_crash_writing_a_lease_expiry_row_leaves_the_site_to_resume(
+            self, tmp_path):
+        """A reclaim finds the stolen lease out of attempts, and the
+        process dies while the broker writes the ``failed_visits`` row.
+        The job must still be leased, not committed ``failed`` with no
+        ledger row, so ``--resume`` re-runs the site."""
+        db_path = str(tmp_path / "crawl.db")
+        queue_path = str(tmp_path / "crawl.queue")
+        manager = make_manager(db_path)
+        storage = manager.storage
+        storage.record_envelope = die_writing_lease_expiry(
+            storage.record_envelope)
+        stolen = []
+        with pytest.raises(ProcessDied):
+            manager.crawl_scheduled(
+                URLS[:1], workers=1, queue_path=queue_path,
+                max_attempts=1,
+                callbacks=[steal_lease_once(queue_path, stolen)])
+        assert stolen == URLS[:1]
+        queue = JobQueue(queue_path)
+        assert queue.counts()["leased"] == 1
+        queue.close()
+
+        report = manager.crawl_scheduled(URLS[:1], workers=1,
+                                         queue_path=queue_path,
+                                         resume=True, max_attempts=1)
+        assert report.released_leases == 1 and report.completed == 1
         assert_each_site_ends_once(manager, queue_path, URLS[:1])
         manager.close()
 
@@ -311,7 +362,7 @@ class TestFinalizerHolds:
         queue.clock.advance(60.0)
         # Job 2 finished and waits for job 1: no sweep may take it.
         result = queue.reclaim_expired()
-        assert [job.job_id for job in result.failed_jobs] == [] \
+        assert [job.job_id for job in result.exhausted_jobs] == [] \
             and result.requeued == 1
         assert queue.job_status(second.job_id) == "leased"
         assert queue.job_status(first.job_id) == "pending"
