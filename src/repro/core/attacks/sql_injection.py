@@ -48,13 +48,13 @@ def run_sql_injection_probe(profile: Optional[BrowserProfile] = None
     profile = profile or openwpm_profile("ubuntu", "regular")
 
     # Seed some legitimate rows whose survival we check.
-    storage.begin_visit(browser_id=0, site_url="https://lab.test/")
+    storage.begin_visit("https://lab.test/")
     visit_with_scripts(profile, ["navigator.userAgent; screen.width;"],
                        extension=extension)
     storage.end_visit()
     rows_before = len(storage.javascript_records())
 
-    storage.begin_visit(browser_id=0, site_url="https://lab.test/")
+    storage.begin_visit("https://lab.test/")
     for payload in INJECTION_PAYLOADS:
         source = (FAKE_INJECTION_ATTACK
                   .replace("__FAKE_SYMBOL__", payload.replace('"', '\\"'))

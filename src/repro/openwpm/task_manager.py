@@ -172,7 +172,7 @@ class TaskManager:
         self._rng = random.Random(manager_params.seed)
         self._js_instrument_factory = js_instrument_factory
         self.browsers: List[ManagedBrowser] = [
-            self._launch_browser(params, VisitRecorder())
+            self._launch_browser(params, VisitRecorder(params.browser_id))
             for params in browser_params]
         self._next_slot = 0
         self.failed_sites: List[str] = []
@@ -238,14 +238,12 @@ class TaskManager:
             else params.display_mode,
             window_size=params.window_size,
             window_position=params.window_position)
-        # Each browser writes into its slot's recorder through a handle
-        # pinning its browser_id.
-        storage_handle = store.handle(params.browser_id)
+        # The browser's instruments write straight into its slot's
+        # recorder, which records this one browser.
         js_instrument = None
         if self._js_instrument_factory is not None and params.js_instrument:
-            js_instrument = self._js_instrument_factory(
-                storage=storage_handle)
-        extension = OpenWPMExtension(params, storage=storage_handle,
+            js_instrument = self._js_instrument_factory(storage=store)
+        extension = OpenWPMExtension(params, storage=store,
                                      js_instrument=js_instrument,
                                      telemetry=self.telemetry)
         browser = Browser(profile, self.network,
@@ -264,7 +262,7 @@ class TaskManager:
         A slot caught crash-looping cools down (virtual time) before
         the relaunch instead of hot-looping replacements.
         """
-        slot.store.record_crash(slot.browser_id, site_url, "restart")
+        slot.store.record_crash(site_url, "restart")
         self.telemetry.metrics.counter("browser_restarts").inc()
         if self._crash_loop is not None:
             cooldown = self._crash_loop.on_restart(
@@ -340,8 +338,7 @@ class TaskManager:
     def _record_given_up(self, slot: ManagedBrowser, url: str,
                          attempts: int, reason: str) -> None:
         """The crawl-loss ledger entry for a site given up on."""
-        slot.store.record_failed_visit(slot.browser_id, url, attempts,
-                                       reason)
+        slot.store.record_failed_visit(url, attempts, reason)
         self._book_given_up(url, attempts, reason)
 
     def _book_given_up(self, url: str, attempts: int, reason: str) -> None:
@@ -478,7 +475,7 @@ class TaskManager:
         finally:
             # No verdict to settle: the rows land as they are (unless an
             # interrupt left the visit open).
-            if not slot.store.active_visits():
+            if slot.store.context is None:
                 self.settle_visit(
                     self._resolution(slot, url, COMPLETE, ""), PENDING)
 
@@ -526,8 +523,7 @@ class TaskManager:
                 journal.emit("visit_attempt", url=sequence.url,
                              attempt=attempts)
                 try:
-                    context = store.begin_visit(slot.browser_id,
-                                                sequence.url)
+                    context = store.begin_visit(sequence.url)
                 except sqlite3.OperationalError:
                     # Transient busy/locked before any side effect:
                     # nothing to clean up, just retry the attempt.
@@ -570,7 +566,7 @@ class TaskManager:
                         watch.check("storage_commit", started,
                                     sequence.url)
                     with tm.stage("storage_commit"):
-                        store.end_visit(slot.browser_id)
+                        store.end_visit()
                     self._bundle_commit(slot, sequence.url, attempts)
                     journal.emit("visit_complete", url=sequence.url,
                                  attempts=attempts,
@@ -584,9 +580,8 @@ class TaskManager:
                     journal.emit("visit_crash", url=sequence.url,
                                  attempt=attempts)
                     tm.metrics.counter("visits_crashed").inc()
-                    store.record_crash(slot.browser_id, sequence.url,
-                                       "crash")
-                    store.end_visit(slot.browser_id)
+                    store.record_crash(sequence.url, "crash")
+                    store.end_visit()
                     with tm.stage("browser_restart"):
                         self._restart_browser(slot, sequence.url)
                     give_up_reason = "failure_limit"
@@ -603,12 +598,10 @@ class TaskManager:
                     journal.emit("visit_hung", url=sequence.url,
                                  attempt=attempts)
                     tm.metrics.counter("visits_hung").inc()
-                    if slot.browser_id in store.active_visits():
+                    if store.context is not None:
                         tm.metrics.counter("visits_aborted").inc()
-                        self._count_discarded(
-                            store.abort_visit(slot.browser_id))
-                    store.record_crash(slot.browser_id, sequence.url,
-                                       "watchdog_abort")
+                        self._count_discarded(store.abort_visit())
+                    store.record_crash(sequence.url, "watchdog_abort")
                     with tm.stage("browser_restart"):
                         self._restart_browser(slot, sequence.url)
                     give_up_reason = "deadline"
@@ -629,8 +622,8 @@ class TaskManager:
                     journal.emit("visit_network_fault",
                                  url=sequence.url, attempt=attempts)
                     tm.metrics.counter("visits_network_faults").inc()
-                    if slot.browser_id in store.active_visits():
-                        store.end_visit(slot.browser_id)
+                    if store.context is not None:
+                        store.end_visit()
                     give_up_reason = "network_fault"
                 except Exception as exc:
                     # Unexpected fault: close the visit so the browser
@@ -640,8 +633,8 @@ class TaskManager:
                     journal.emit("visit_error", url=sequence.url,
                                  attempt=attempts, error=repr(exc))
                     tm.metrics.counter("visits_errored").inc()
-                    if slot.browser_id in store.active_visits():
-                        store.end_visit(slot.browser_id)
+                    if store.context is not None:
+                        store.end_visit()
                     raise
             tm.metrics.counter("visits_failed_exhausted").inc()
             visit_span.set_attribute("outcome", "failed_exhausted")

@@ -73,7 +73,7 @@ class TestCSVExport:
 
     def test_storage_export_table(self, tmp_path):
         storage = StorageController()
-        storage.begin_visit(0, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         storage.recorder.record_javascript("d", "s", "navigator.webdriver",
                                            "get", "true")
         storage.end_visit()
@@ -87,7 +87,7 @@ class TestCSVExport:
 
     def test_storage_export_all(self, tmp_path):
         storage = StorageController()
-        storage.begin_visit(0, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         storage.end_visit()
         counts = storage.export_all_csv(str(tmp_path / "dump"))
         assert counts["site_visits"] == 1

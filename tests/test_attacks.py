@@ -59,7 +59,7 @@ class TestFakeInjection:
         storage = StorageController()
         extension = _make_extension(stealth=False,
                                     storage=storage.recorder)
-        storage.begin_visit(0, "https://lab.test/")
+        storage.begin_visit("https://lab.test/")
         source = (FAKE_INJECTION_ATTACK
                   .replace("__FAKE_SYMBOL__", "forged.symbol")
                   .replace("__FAKE_VALUE__", "v")
@@ -152,5 +152,9 @@ class TestSQLInjection:
         assert outcome.rows_after >= outcome.rows_before
 
     def test_payloads_stored_as_inert_text(self):
+        """The probe's exact outcome: two seeded rows survive and each
+        of the four payloads lands once, verbatim."""
         outcome = run_sql_injection_probe()
-        assert outcome.payloads_stored_verbatim >= 1
+        assert (outcome.succeeded, outcome.tables_intact,
+                outcome.payloads_stored_verbatim, outcome.rows_before,
+                outcome.rows_after) == (False, True, 4, 2, 6)

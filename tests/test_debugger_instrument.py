@@ -129,7 +129,7 @@ class TestZeroFootprint:
         from repro.openwpm.storage import StorageController
 
         storage = StorageController()
-        storage.begin_visit(0, "https://lab.test/")
+        storage.begin_visit("https://lab.test/")
         extension = debugger_extension(storage=storage.recorder)
         visit_with_scripts(openwpm_profile("ubuntu", "regular"),
                            ["screen.availTop;"], extension=extension)

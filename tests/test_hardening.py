@@ -108,7 +108,7 @@ class TestRecordingStillWorks:
         from repro.openwpm.storage import StorageController
 
         storage = StorageController()
-        storage.begin_visit(0, "https://lab.test/")
+        storage.begin_visit("https://lab.test/")
         extension = OpenWPMExtension(
             BrowserParams(stealth=True),
             storage=storage.recorder,

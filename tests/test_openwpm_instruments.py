@@ -63,7 +63,7 @@ class TestJSInstrumentRecording:
         storage = StorageController()
         extension = OpenWPMExtension(BrowserParams(),
                                      storage=storage.recorder)
-        storage.begin_visit(0, LAB_URL)
+        storage.begin_visit(LAB_URL)
         visit_with_scripts(openwpm_profile("ubuntu", "regular"),
                            ["navigator.userAgent;"], extension=extension)
         storage.end_visit()

@@ -19,9 +19,9 @@ def storage():
 
 class TestVisitLifecycle:
     def test_visit_ids_increment(self, storage):
-        a = storage.begin_visit(0, "https://a.test/")
+        a = storage.begin_visit("https://a.test/")
         storage.end_visit()
-        b = storage.begin_visit(0, "https://b.test/")
+        b = storage.begin_visit("https://b.test/")
         assert b.visit_id == a.visit_id + 1
 
     def test_records_outside_visit_raise(self, storage):
@@ -32,76 +32,39 @@ class TestVisitLifecycle:
         assert storage.javascript_records() == []
 
     def test_double_begin_raises(self, storage):
-        storage.begin_visit(0, "https://a.test/")
+        storage.begin_visit("https://a.test/")
         with pytest.raises(VisitStateError):
-            storage.begin_visit(0, "https://b.test/")
+            storage.begin_visit("https://b.test/")
 
     def test_end_without_visit_raises(self, storage):
         with pytest.raises(VisitStateError):
-            storage.end_visit(0)
+            storage.end_visit()
 
 
 class TestPerBrowserContexts:
     def test_interleaved_visits_attribute_by_browser(self, storage):
-        """Two browsers mid-visit at once: each record lands on *its*
-        browser's visit, never on whichever began last."""
-        a = storage.begin_visit(0, "https://a.test/")
-        b = storage.begin_visit(1, "https://b.test/")
-        storage.recorder.record_javascript("d", "s", "symA", "get", "",
-                                  browser_id=0)
-        storage.recorder.record_javascript("d", "s", "symB", "get", "",
-                                  browser_id=1)
-        storage.end_visit(1)
-        storage.end_visit(0)
+        """Two browsers mid-visit at once, each recording into its own
+        recorder: every record lands on *its* browser's visit."""
+        a, b = VisitRecorder(0), VisitRecorder(1)
+        a.begin_visit("https://a.test/")
+        b.begin_visit("https://b.test/")
+        a.record_javascript("d", "s", "symA", "get", "")
+        b.record_javascript("d", "s", "symB", "get", "")
+        b.end_visit()
+        a.end_visit()
+        storage.record_envelope(**a.take_envelope())
+        storage.record_envelope(**b.take_envelope())
         rows = {row["symbol"]: row for row in storage.javascript_records()}
-        assert rows["symA"]["visit_id"] == a.visit_id
-        assert rows["symA"]["top_level_url"] == "https://a.test/"
-        assert rows["symB"]["visit_id"] == b.visit_id
-        assert rows["symB"]["top_level_url"] == "https://b.test/"
-
-    def test_ambiguous_write_raises_with_two_visits(self, storage):
-        storage.begin_visit(0, "https://a.test/")
-        storage.begin_visit(1, "https://b.test/")
-        with pytest.raises(VisitStateError):
-            storage.recorder.record_javascript("d", "s", "sym", "get", "")
-
-    def test_end_visit_without_id_requires_single_visit(self, storage):
-        storage.begin_visit(0, "https://a.test/")
-        storage.begin_visit(1, "https://b.test/")
-        with pytest.raises(VisitStateError):
-            storage.end_visit()
-
-    def test_handle_pins_browser_id(self, storage):
-        h0 = storage.recorder.handle(0)
-        h1 = storage.recorder.handle(1)
-        h0.begin_visit("https://a.test/")
-        h1.begin_visit("https://b.test/")
-        h0.record_javascript("d", "s", "symA", "get", "")
-        h1.record_http_request(
-            url="https://cdn.test/a.js",
-            top_level_url="https://b.test/",
-            frame_url="https://b.test/", method="GET",
-            resource_type="script", is_third_party=True)
-        h1.end_visit()
-        h0.end_visit()
-        js = storage.javascript_records()[0]
-        req = storage.http_request_rows()[0]
-        assert js["browser_id"] == 0
-        assert js["top_level_url"] == "https://a.test/"
-        assert req["browser_id"] == 1
-        assert req["visit_id"] != js["visit_id"]
-
-    def test_handle_write_outside_own_visit_raises(self, storage):
-        storage.begin_visit(1, "https://b.test/")
-        with pytest.raises(VisitStateError):
-            storage.recorder.handle(0).record_javascript("d", "s", "sym",
-                                                         "get", "")
+        assert (rows["symA"]["visit_id"], rows["symA"]["browser_id"],
+                rows["symA"]["top_level_url"]) == (1, 0, "https://a.test/")
+        assert (rows["symB"]["visit_id"], rows["symB"]["browser_id"],
+                rows["symB"]["top_level_url"]) == (2, 1, "https://b.test/")
 
 
 class TestSanitisation:
     def test_top_level_url_comes_from_controller(self, storage):
         """RQ6: forged events cannot spoof the visited site."""
-        storage.begin_visit(1, "https://real-site.test/")
+        storage.begin_visit("https://real-site.test/")
         storage.recorder.record_javascript(
             document_url="https://spoofed.test/",
             script_url="https://attacker.test/x.js",
@@ -113,7 +76,7 @@ class TestSanitisation:
         assert row["visit_id"] == 1
 
     def test_oversized_fields_truncated(self, storage):
-        storage.begin_visit(1, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         storage.recorder.record_javascript("d", "s", "A" * 10_000, "get",
                                   "B" * 10_000)
         storage.end_visit()
@@ -123,7 +86,7 @@ class TestSanitisation:
 
     def test_sql_injection_payload_stored_inert(self, storage):
         """RQ7: parameterised statements defuse injection."""
-        storage.begin_visit(1, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         payload = "'); DROP TABLE javascript; --"
         storage.recorder.record_javascript("d", "s", payload, "call",
                                            payload)
@@ -135,7 +98,7 @@ class TestSanitisation:
 
 class TestTables:
     def test_http_request_and_response(self, storage):
-        storage.begin_visit(2, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         storage.recorder.record_http_request(
             url="https://cdn.test/a.js", top_level_url="https://x.test/",
             frame_url="https://x.test/", method="GET",
@@ -154,10 +117,11 @@ class TestTables:
         h2 = storage.recorder.record_content("var a;", "https://b.test/y.js",
                                     "text/javascript")
         assert h1 == h2
+        storage.record_envelope(**storage.recorder.take_envelope())
         assert len(storage.saved_scripts()) == 1
 
     def test_cookie_rows(self, storage):
-        storage.begin_visit(3, "https://x.test/")
+        storage.begin_visit("https://x.test/")
         storage.recorder.record_cookie(
             change_cause="added-http", host="tracker.test", name="uid",
             value="abc12345", path="/", is_session=False,
@@ -169,15 +133,17 @@ class TestTables:
         assert row["is_session"] == 0
 
     def test_crash_history(self, storage):
-        storage.recorder.record_crash(5, "https://dead.test/", "crash")
+        recorder = VisitRecorder(5)
+        recorder.record_crash("https://dead.test/", "crash")
+        storage.record_envelope(**recorder.take_envelope())
         rows = storage.query("SELECT * FROM crash_history")
         assert rows[0]["browser_id"] == 5
 
     def test_query_filter_by_visit(self, storage):
-        storage.begin_visit(1, "https://a.test/")
+        storage.begin_visit("https://a.test/")
         storage.recorder.record_javascript("d", "s", "sym1", "get", "")
         storage.end_visit()
-        storage.begin_visit(1, "https://b.test/")
+        storage.begin_visit("https://b.test/")
         storage.recorder.record_javascript("d", "s", "sym2", "get", "")
         storage.end_visit()
         assert len(storage.javascript_records(visit_id=2)) == 1
@@ -190,7 +156,7 @@ class TestBatchedWrites:
     def test_records_buffered_until_flush(self, storage):
         """An open visit's rows are not in the database yet; ending the
         visit lands them."""
-        storage.begin_visit(1, "https://a.test/")
+        storage.begin_visit("https://a.test/")
         storage.recorder.record_javascript("d", "s", "sym", "get", "v")
         storage.recorder.record_http_request(
             url="https://a.test/x.js", top_level_url="https://a.test/",
@@ -202,7 +168,7 @@ class TestBatchedWrites:
         assert len(storage.http_request_rows()) == 1
 
     def test_end_visit_flushes_in_one_transaction(self, storage):
-        storage.begin_visit(1, "https://a.test/")
+        storage.begin_visit("https://a.test/")
         for index in range(5):
             storage.recorder.record_javascript("d", "s", f"sym{index}",
                                                "get", "v")
@@ -214,13 +180,13 @@ class TestBatchedWrites:
         assert [row["id"] for row in records] == list(range(1, 6))
 
     def test_abort_visit_counts_buffered_rows(self, storage):
-        storage.begin_visit(1, "https://hung.test/")
+        storage.begin_visit("https://hung.test/")
         storage.recorder.record_javascript("d", "s", "sym", "get", "v")
         storage.recorder.record_javascript("d", "s", "sym2", "get", "v")
         storage.recorder.record_http_response(url="https://hung.test/",
                                               status=200,
                                               content_type="text/html")
-        discarded = storage.recorder.abort_visit(1)
+        discarded = storage.recorder.abort_visit()
         assert discarded["javascript"] == 2
         assert discarded["http_responses"] == 1
         assert storage.javascript_records() == []
@@ -231,19 +197,19 @@ class TestBatchedWrites:
         the crawl database lands it under its own visit ids, and the
         recorder keeps nothing (its memory does not grow with the
         crawl)."""
-        slot = VisitRecorder()
-        slot.begin_visit(1, "https://crashed.test/")
+        slot = VisitRecorder(1)
+        slot.begin_visit("https://crashed.test/")
         slot.record_javascript("d", "s", "partial", "get", "v")
-        slot.record_crash(1, "https://crashed.test/", "crash")
-        slot.end_visit(1)
-        slot.begin_visit(1, "https://crashed.test/")
+        slot.record_crash("https://crashed.test/", "crash")
+        slot.end_visit()
+        slot.begin_visit("https://crashed.test/")
         slot.record_javascript("d", "s", "sym", "get", "v")
         slot.record_content("body", "https://crashed.test/a.js",
                             "text/javascript")
         slot.record_content("body", "https://crashed.test/b.js",
                             "text/javascript")
-        slot.end_visit(1)
-        slot.record_failed_visit(1, "https://crashed.test/", 2, "x")
+        slot.end_visit()
+        slot.record_failed_visit("https://crashed.test/", 2, "x")
         envelope = slot.take_envelope()
         assert [v["visit_id"] for v in envelope["visits"]] == [1, 2]
         assert [row[2] for row in envelope["content"]] == [
@@ -265,8 +231,8 @@ class TestBatchedWrites:
         crawl.close()
 
     def test_envelope_refused_mid_visit(self):
-        slot = VisitRecorder()
-        slot.begin_visit(1, "https://open.test/")
+        slot = VisitRecorder(1)
+        slot.begin_visit("https://open.test/")
         with pytest.raises(VisitStateError):
             slot.take_envelope()
 
@@ -275,10 +241,10 @@ class TestBatchedWrites:
         lands."""
         path = str(tmp_path / "recorded.sqlite")
         controller = StorageController(path)
-        controller.begin_visit(1, "https://a.test/")
+        controller.begin_visit("https://a.test/")
         controller.recorder.record_javascript("d", "s", "sym", "get", "v")
         controller.end_visit()
-        controller.begin_visit(1, "https://b.test/")
+        controller.begin_visit("https://b.test/")
         controller.recorder.record_javascript("d", "s", "sym2", "get",
                                               "v")
         controller.close()                     # never end_visit'ed
@@ -297,18 +263,18 @@ class TestEnvelopeRollback:
         and the next envelope gets the id it would have had."""
         path = str(tmp_path / "crawl.sqlite")
         crawl = StorageController(path)
-        slot = VisitRecorder()
+        slot = VisitRecorder(0)
 
         def visit(url):
-            slot.begin_visit(0, url)
+            slot.begin_visit(url)
             slot.record_javascript("d", "s", url, "get", "v")
-            slot.end_visit(0)
+            slot.end_visit()
 
         visit("https://good.test/")
         crawl.record_envelope(**slot.take_envelope())
         visit("https://partial.test/")
         visit("https://broken.test/")
-        slot.record_failed_visit(0, "https://broken.test/", 1, "x")
+        slot.record_failed_visit("https://broken.test/", 1, "x")
         broken = slot.take_envelope()
         broken["visits"][1]["tables"]["no_such_table"] = [(2, 0)]
         with pytest.raises(ValueError):

@@ -26,21 +26,20 @@ SITE = "https://lab.test/site-00000"
 
 
 def visit(storage, site=SITE, js=(), cookies=0, requests=0):
-    """One visit recorded by *storage*'s own recorder (a controller)
-    or by a bare recorder."""
+    """One visit recorded by *storage*: a controller, whose
+    ``end_visit`` lands it, or a bare recorder."""
     recorder = getattr(storage, "recorder", storage)
-    recorder.begin_visit(0, site)
+    storage.begin_visit(site)
     for symbol in js:
         recorder.record_javascript(site, site + "/app.js", symbol,
-                                   "get", "", browser_id=0)
+                                   "get", "")
     for i in range(cookies):
         recorder.record_cookie("explicit", "tracker.test", f"c{i}", "v",
-                               "/", False, False, None, site, True,
-                               browser_id=0)
+                               "/", False, False, None, site, True)
     for i in range(requests):
         recorder.record_http_request(site + f"/r{i}", site, site, "GET",
-                                     "script", True, browser_id=0)
-    recorder.end_visit(0)
+                                     "script", True)
+    storage.end_visit()
 
 
 def site_counter(storage, column, site=SITE):
@@ -90,7 +89,7 @@ class TestLifecycle:
 
         monkeypatch.setenv("REPRO_ROLLUPS", "off")
         storage = StorageController(db_path)
-        slot = VisitRecorder()
+        slot = VisitRecorder(0)
         visit(slot, site=SITE + "a")
         visit(slot, site=SITE + "b")
         broken = slot.take_envelope()
@@ -167,17 +166,18 @@ class TestIncrementalAccounting:
         storage.close()
 
     def test_recorded_envelope_folds_like_a_live_visit(self):
-        slot = VisitRecorder()
+        slot = VisitRecorder(0)
         visit(slot, js=["navigator.webdriver"], cookies=2, requests=3)
-        slot.record_crash(0, SITE, "crash")
-        slot.record_failed_visit(0, SITE, 3, "crash_loop")
+        slot.record_crash(SITE, "crash")
+        slot.record_failed_visit(SITE, 3, "crash_loop")
         slot.record_quarantine(SITE, 3, "crash_loop")
         slot.record_quarantine(SITE, 4, "crash_loop")  # one row per site
         live = StorageController(":memory:")
         visit(live, js=["navigator.webdriver"], cookies=2, requests=3)
-        live.recorder.record_crash(0, SITE, "crash")
-        live.recorder.record_failed_visit(0, SITE, 3, "crash_loop")
+        live.recorder.record_crash(SITE, "crash")
+        live.recorder.record_failed_visit(SITE, 3, "crash_loop")
         live.recorder.record_quarantine(SITE, 3, "crash_loop")
+        live.record_envelope(**live.recorder.take_envelope())
 
         storage = StorageController(":memory:")
         assert storage.record_envelope(**slot.take_envelope()) == 1
@@ -191,14 +191,14 @@ class TestIncrementalAccounting:
 
     def test_content_rows_booked_once_despite_dedup(self):
         storage = StorageController(":memory:")
-        storage.begin_visit(0, SITE)
+        storage.begin_visit(SITE)
         storage.recorder.record_content("var x = 1;", SITE + "/a.js",
                                         "text/javascript")
-        storage.end_visit(0)
-        storage.begin_visit(0, SITE)
+        storage.end_visit()
+        storage.begin_visit(SITE)
         storage.recorder.record_content("var x = 1;", SITE + "/b.js",
                                         "text/javascript")
-        storage.end_visit(0)
+        storage.end_visit()
         totals = {row["name"]: row["value"] for row in storage.query(
             "SELECT name, value FROM rollups_totals")}
         # OR IGNORE deduped the second copy; the rollup must count
@@ -209,13 +209,14 @@ class TestIncrementalAccounting:
 
     def test_aborted_visit_contributes_nothing_but_content(self):
         storage = StorageController(":memory:")
-        storage.begin_visit(0, SITE)
+        storage.begin_visit(SITE)
         storage.recorder.record_javascript(SITE, SITE + "/app.js",
                                            "navigator.webdriver", "get",
-                                           "", browser_id=0)
+                                           "")
         storage.recorder.record_content("payload();", SITE + "/app.js",
                                         "text/javascript")
-        storage.recorder.abort_visit(0)
+        storage.recorder.abort_visit()
+        storage.record_envelope(**storage.recorder.take_envelope())
         totals = {row["name"]: row["value"] for row in storage.query(
             "SELECT name, value FROM rollups_totals")}
         assert totals.get("javascript", 0) == 0
