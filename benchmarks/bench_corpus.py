@@ -21,6 +21,7 @@ import time
 
 from conftest import report
 
+from repro.core.scan.classify import VisitEvidence
 from repro.core.scan.static_analysis import scan_script
 from repro.corpus import ScriptCorpus, script_hash
 
@@ -84,12 +85,14 @@ def measure_corpus(rounds=3):
     for corpus in (cached, uncached):
         for site in range(SITES):
             batch = corpus.site_batch(f"site{site}.test")
+            evidence = VisitEvidence(page_url=f"https://site{site}.test/")
             for occ_site, index in occurrences[
                     site * SCRIPTS_PER_SITE:(site + 1) * SCRIPTS_PER_SITE]:
                 assert occ_site == site
-                batch.add(f"https://cdn.test/{index}.js", sources[index])
+                evidence.scripts.append((f"https://cdn.test/{index}.js",
+                                         batch.add(sources[index])))
             batch.flush_visit()
-            corpus.promote(f"site{site}.test", batch.token)
+            batch.commit([evidence])
 
     baseline = _sweep(cached, digests, occurrences)  # warm the cache
     best = {"warm": float("inf"), "disabled": float("inf")}

@@ -61,14 +61,7 @@ def reanalyze_bundle(bundle: Bundle, use_honey: bool = True,
         combined = classify_site(site, evidences, use_honey=use_honey,
                                  preprocess_static=preprocess_static,
                                  corpus=corpus)
-        dataset.front_only[site] = front
-        dataset.combined[site] = combined
-        dataset.evidence[site] = evidences
-        dataset.visited_sites += 1
-        dataset.subpage_visits += max(0, len(evidences) - 1)
-        for visit in evidences:
-            for _, digest in visit.scripts:
-                dataset.unique_scripts.add(digest)
+        dataset.add_site(site, front, combined, evidences)
         tm.metrics.counter("bundle_sites_reanalyzed").inc()
     tm.journal.emit("bundle_reanalyzed", path=bundle.path,
                     sites=len(sites))

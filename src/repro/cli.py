@@ -788,8 +788,7 @@ def _cmd_corpus_verify(args: argparse.Namespace) -> int:
                 print(f"    {entry['hash']}  {entry['error']}")
             print(f"  orphaned occurrences ... "
                   f"{len(report['orphaned_occurrences'])} "
-                  f"(staged: {len(report['orphaned_staged'])}, "
-                  f"analysis: {len(report['orphaned_analysis'])})")
+                  f"(analysis: {len(report['orphaned_analysis'])})")
             if report["refcount_drift"]:
                 print(f"  refcount drift ......... "
                       f"{len(report['refcount_drift'])} script(s)")

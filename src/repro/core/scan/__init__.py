@@ -9,7 +9,7 @@ from repro.core.scan.static_analysis import (
 )
 from repro.core.scan.dynamic_analysis import ScanExtension
 from repro.core.scan.classify import SiteClassification, classify_site
-from repro.core.scan.pipeline import ScanDataset, ScanPipeline
+from repro.core.scan.pipeline import ScanBroker, ScanDataset, ScanPipeline
 
 __all__ = [
     "PATTERN_SET_VERSION",
@@ -20,6 +20,7 @@ __all__ = [
     "ScanExtension",
     "SiteClassification",
     "classify_site",
+    "ScanBroker",
     "ScanPipeline",
     "ScanDataset",
 ]

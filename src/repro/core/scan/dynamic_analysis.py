@@ -115,13 +115,13 @@ class ScanExtension(OpenWPMExtension):
                 if "javascript" in content_type]
 
     def script_refs(self, batch: Any) -> List[Tuple[str, str]]:
-        """(script_url, sha256) pairs, bodies staged into *batch*.
+        """(script_url, sha256) pairs, bodies added to *batch*.
 
         *batch* is a :class:`repro.corpus.SiteBatch`; the returned
         refs are the content addresses evidence carries instead of
         raw sources.
         """
-        return [(script_url, batch.add(script_url, source))
+        return [(script_url, batch.add(source))
                 for script_url, source in self.collected_scripts()]
 
     # ------------------------------------------------------------------

@@ -18,11 +18,10 @@ derives the paper's tables and figures:
 
 from __future__ import annotations
 
-import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.browser.browser import Browser
 from repro.browser.profiles import openwpm_profile
@@ -36,7 +35,7 @@ from repro.corpus import ScriptCorpus, SiteBatch, corpus_path_for
 from repro.net.url import URL, etld_plus_one, same_site
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.sched.jobs import COMPLETED
-from repro.sched.settle import Broker
+from repro.sched.settle import COMPLETE, RETRY, Broker
 from repro.web.world import SyntheticWeb
 
 #: Subpage budget per site (paper Sec. 4.1.2).
@@ -266,16 +265,10 @@ class ScanPipeline:
         self.recorder = recorder
         if recorder is not None:
             web.network.recorder = recorder
-        self.extension = ScanExtension()
-        self.browser = Browser(openwpm_profile("ubuntu", "regular"),
-                               web.network, client_id=client_id,
-                               extension=self.extension, seed=seed)
         self.dwell = dwell
         self.max_subpages = max_subpages
         #: The content-addressed script store of the last run().
         self.corpus: Optional[ScriptCorpus] = None
-        #: Serializes dataset mutation across scan workers.
-        self._dataset_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def run(self, site_limit: Optional[int] = None,
@@ -295,25 +288,29 @@ class ScanPipeline:
         ``worker_procs`` scans through N supervised worker *processes*
         instead (:mod:`repro.sched.procpool`); each rebuilds the
         synthetic world from ``(site_count, world_seed)`` and ships
-        evidence envelopes back to this process's single-writer scan
-        broker. Requires a file-backed ``queue_path``; incompatible
-        with ``workers`` and with a bundle recorder/replay (their
-        hooks attach to this process's network object).
+        each attempt's resolution back to this process's
+        :class:`ScanBroker`. Requires a file-backed ``queue_path``;
+        incompatible with ``workers`` and with a bundle recorder/replay
+        (their hooks attach to this process's network object).
 
         Each site is visited with a fresh per-site browser identity
         (see :meth:`_site_browser`), so the collected script corpus
         and every derived table are independent of ``workers`` and of
         scheduling order.
 
-        Per-site evidence is persisted to a ``<queue_path>.scan``
-        sidecar as each job completes, script bodies to a
-        ``<queue_path>.corpus`` content-addressed store, and
-        ``resume=True`` reloads both — the returned dataset covers
-        *every* completed site, not just the ones visited by this
-        process. Resuming a queue whose sidecar is missing evidence
-        for a completed site — or whose corpus is missing a referenced
-        script body — raises rather than silently returning a partial
-        (or silently mis-classified) dataset.
+        Every mode runs an attempt through :meth:`scan_job` and settles
+        it through one :class:`ScanBroker`, which lands a completed
+        site's occurrence rows in the ``<queue_path>.corpus``
+        content-addressed store and its evidence in the
+        ``<queue_path>.scan`` sidecar before the queue marks it
+        completed. ``resume=True`` reloads both — the returned dataset
+        covers *every* completed site, not just the ones visited by
+        this process — and first retracts what an attempt that died
+        before its completion committed left behind. Resuming a queue
+        whose sidecar is missing evidence for a completed site — or
+        whose corpus is missing a referenced script body — raises
+        rather than silently returning a partial (or silently
+        mis-classified) dataset.
         """
         from repro.core.scan.results_store import (
             ScanResultStore,
@@ -373,6 +370,8 @@ class ScanPipeline:
             # the engine's hash-keyed AST/closure cache so any script
             # shared with a still-pending site skips parse+compile.
             corpus.precompile()
+        broker = ScanBroker(scheduler.queue, self.telemetry, corpus,
+                            store, dataset)
 
         if worker_procs is not None:
             from repro.sched.procpool import (
@@ -383,7 +382,7 @@ class ScanPipeline:
 
             try:
                 run_process_scan(
-                    self, scheduler, corpus, store, dataset,
+                    self, scheduler, broker,
                     queue_path=queue_path, worker_procs=worker_procs,
                     world_seed=world_seed,
                     visit_subpages=visit_subpages,
@@ -399,30 +398,11 @@ class ScanPipeline:
                 store.close()
             return dataset
 
-        def handler(job, worker_index):
-            # Corpus rows stay staged under the batch token until the
-            # broker settles the completion.
-            batch = corpus.site_batch(job.site_url)
-            try:
-                self._scan_site(job.site_url, dataset, visit_subpages,
-                                batch)
-            except BaseException:
-                corpus.drop_staged(batch.token)
-                abandon = getattr(self.web.network, "abandon_site", None)
-                if abandon is not None:
-                    abandon()
-                if self.recorder is not None:
-                    self.recorder.abandon_site()
-                raise
-            batch.commit()
-            return {"token": batch.token,
-                    "evidences": dataset.evidence[job.site_url]}
-
         try:
-            scheduler.run(handler, workers=workers,
-                          broker=_StagedScanBroker(scheduler.queue,
-                                                   self.telemetry, corpus,
-                                                   store))
+            scheduler.run(
+                lambda job, index: self.scan_job(job.site_url, corpus,
+                                                 visit_subpages),
+                workers=workers, broker=broker)
             if self.recorder is not None:
                 # Archive the memoized analysis verdicts so replay can
                 # seed its own cache without re-scanning sources.
@@ -437,13 +417,23 @@ class ScanPipeline:
 
     def _restore_completed(self, scheduler, store, configs,
                            dataset: ScanDataset) -> None:
-        """Rebuild dataset entries for sites earlier runs completed."""
-        from repro.sched import COMPLETED
+        """Rebuild dataset entries for sites earlier runs completed.
 
+        An attempt that died after its broker landed the site's rows,
+        but before the queue marked it completed, leaves those rows
+        (and maybe its sidecar evidence) behind; they are retracted
+        here, and the site runs again."""
+        completed = scheduler.queue.sites(status=COMPLETED)
+        settled = set(completed)
+        corpus = dataset.corpus
+        for site in corpus.sites():
+            if site not in settled:
+                corpus.retract_site(site)
+        for domain in store.domains():
+            if domain not in settled:
+                store.delete(domain)
         wanted = {config.domain for config in configs}
-        completed = [domain for domain
-                     in scheduler.queue.sites(status=COMPLETED)
-                     if domain in wanted]
+        completed = [domain for domain in completed if domain in wanted]
         if not completed:
             return
         stored = store.load_all()
@@ -454,12 +444,8 @@ class ScanPipeline:
                 f"have no persisted evidence in {store.path!r} "
                 f"(e.g. {missing[:3]}); re-run without --resume to "
                 "rebuild the dataset from scratch")
-        corpus = dataset.corpus
         for domain in completed:
             evidences = stored[domain]
-            # A queue crash between completion and corpus promotion
-            # leaves the attempt's rows staged; fold them back in.
-            corpus.recover_site(domain)
             for visit in evidences:
                 for script_url, digest in visit.scripts:
                     if not corpus.has(digest):
@@ -470,12 +456,11 @@ class ScanPipeline:
                             f"corpus {corpus.path!r}; re-run without "
                             "--resume to rebuild the dataset from "
                             "scratch")
-            with self._dataset_lock:
-                dataset.add_site(
-                    domain,
-                    classify_site(domain, evidences[:1], corpus=corpus),
-                    classify_site(domain, evidences, corpus=corpus),
-                    evidences)
+            dataset.add_site(
+                domain,
+                classify_site(domain, evidences[:1], corpus=corpus),
+                classify_site(domain, evidences, corpus=corpus),
+                evidences)
 
     # ------------------------------------------------------------------
     def _site_browser(self, domain: str
@@ -499,23 +484,64 @@ class ScanPipeline:
                           extension=extension, seed=site_seed)
         return browser, extension
 
-    def _scan_site(self, domain: str, dataset: ScanDataset,
-                   visit_subpages: bool, batch: SiteBatch) -> None:
+    def scan_job(self, domain: str, corpus: ScriptCorpus,
+                 visit_subpages: bool, ship_sources: bool = False
+                 ) -> Dict[str, Any]:
+        """Run one scan attempt for *domain*; returns its resolution.
+
+        A completion carries the site's ``evidences`` (front page
+        first) and its ``front`` and ``combined`` classifications. The
+        attempt writes script bodies into *corpus* as it goes, but no
+        occurrence row: the :class:`ScanBroker` lands those from the
+        evidence once the queue accepts the completion. With
+        ``ship_sources`` (a worker process, whose *corpus* is its own)
+        it also carries the ``bodies`` and ``analysis`` cache rows of
+        the scripts it saw. A failed attempt is sent back for retry.
+        """
+        batch = corpus.site_batch(domain)
+        try:
+            evidences, front, combined = self._scan_site(
+                domain, visit_subpages, batch)
+        except BaseException as exc:
+            abandon = getattr(self.web.network, "abandon_site", None)
+            if abandon is not None:
+                abandon()
+            if self.recorder is not None:
+                self.recorder.abandon_site()
+            if not isinstance(exc, Exception):
+                raise
+            return {"kind": RETRY, "error": repr(exc)}
+        resolution = {"kind": COMPLETE, "error": "",
+                      "evidences": evidences, "front": front,
+                      "combined": combined}
+        if ship_sources:
+            digests = {digest for evidence in evidences
+                       for _, digest in evidence.scripts}
+            resolution["bodies"] = {digest: corpus.source(digest)
+                                    for digest in sorted(digests)}
+            resolution["analysis"] = [
+                row for row in corpus.export_analysis_cache()
+                if row[0] in digests]
+        return resolution
+
+    def _scan_site(self, domain: str, visit_subpages: bool,
+                   batch: SiteBatch
+                   ) -> Tuple[List[VisitEvidence], SiteClassification,
+                              SiteClassification]:
         tm = self.telemetry
-        corpus = dataset.corpus
+        corpus = batch.corpus
         browser, extension = self._site_browser(domain)
         with tm.tracer.span("scan_site", domain=domain) as site_span:
             front_evidence = self._visit(f"https://www.{domain}/",
                                          browser, extension, batch,
-                                         site=domain)
+                                         domain)
             evidences = [front_evidence]
             front_classification = classify_site(domain, [front_evidence],
                                                  corpus=corpus)
             if visit_subpages:
                 for link in self._select_subpages(front_evidence, browser):
                     evidences.append(self._visit(link, browser,
-                                                 extension, batch,
-                                                 site=domain))
+                                                 extension, batch, domain))
                     tm.metrics.counter("scan_subpage_visits").inc()
             with tm.stage("classify"):
                 classification = classify_site(domain, evidences,
@@ -524,9 +550,6 @@ class ScanPipeline:
                 self.recorder.finish_site(
                     domain, front=front_classification,
                     combined=classification, evidence=evidences)
-            with self._dataset_lock:
-                dataset.add_site(domain, front_classification,
-                                 classification, evidences)
             tm.metrics.counter("scan_sites_visited").inc()
             outcome = "identified" if classification.identified_union \
                 else "negative"
@@ -536,33 +559,27 @@ class ScanPipeline:
                 tm.metrics.counter("classifier_outcomes",
                                    outcome="clean").inc()
             site_span.set_attribute("outcome", outcome)
+        return evidences, front_classification, classification
 
     # ------------------------------------------------------------------
-    def _visit(self, url: str, browser: Optional[Browser] = None,
-               extension: Optional[ScanExtension] = None,
-               batch: Optional[SiteBatch] = None,
-               site: Optional[str] = None) -> VisitEvidence:
-        browser = browser if browser is not None else self.browser
-        extension = extension if extension is not None else self.extension
+    def _visit(self, url: str, browser: Browser,
+               extension: ScanExtension, batch: SiteBatch,
+               site: str) -> VisitEvidence:
         extension.clear_records()
-        if site is not None:
-            # Replay transport first (positions its visit cursor), then
-            # the recorder (opens this visit's archive buffer).
-            begin = getattr(self.web.network, "begin_visit", None)
-            if begin is not None:
-                begin(site, url)
-            if self.recorder is not None:
-                self.recorder.begin_visit(site, url)
+        # Replay transport first (positions its visit cursor), then
+        # the recorder (opens this visit's archive buffer).
+        begin = getattr(self.web.network, "begin_visit", None)
+        if begin is not None:
+            begin(site, url)
+        if self.recorder is not None:
+            self.recorder.begin_visit(site, url)
         with self.telemetry.stage("scan_visit"):
-            result = browser.visit(url, wait=self.dwell)
+            browser.visit(url, wait=self.dwell)
         evidence = VisitEvidence(page_url=url)
-        if batch is not None:
-            # Bodies dedup into the content-addressed corpus; evidence
-            # carries hashes, one batched write per visit.
-            evidence.scripts = extension.script_refs(batch)
-            batch.flush_visit()
-        else:
-            evidence.scripts = extension.collected_scripts()
+        # Bodies dedup into the content-addressed corpus; evidence
+        # carries hashes, one batched write per visit.
+        evidence.scripts = extension.script_refs(batch)
+        batch.flush_visit()
         if extension.js_instrument is not None:
             for record in extension.js_instrument.records:
                 if record.symbol == "navigator.webdriver" \
@@ -572,20 +589,18 @@ class ScanPipeline:
             evidence.residue_accessors.setdefault(
                 access.script_url, set()).add(access.property_name)
         evidence.honey_hits = extension.honey_hits_by_script()
-        if site is not None:
-            end = getattr(self.web.network, "end_visit", None)
-            if end is not None:
-                end()
-            if self.recorder is not None:
-                trace = list(extension.js_instrument.records) \
-                    if extension.js_instrument is not None else []
-                self.recorder.end_visit(trace=trace)
+        end = getattr(self.web.network, "end_visit", None)
+        if end is not None:
+            end()
+        if self.recorder is not None:
+            trace = list(extension.js_instrument.records) \
+                if extension.js_instrument is not None else []
+            self.recorder.end_visit(trace=trace)
         return evidence
 
     def _select_subpages(self, evidence: VisitEvidence,
-                         browser: Optional[Browser] = None) -> List[str]:
+                         browser: Browser) -> List[str]:
         """Same-site links only (eTLD+1), after following redirects."""
-        browser = browser if browser is not None else self.browser
         result_links: List[str] = []
         base = URL.parse(evidence.page_url)
         page = None
@@ -607,29 +622,40 @@ class ScanPipeline:
         return result_links
 
 
-class _StagedScanBroker(Broker):
-    """Settles a thread scan's completions: a site's corpus rows were
-    staged by its worker, and only a standing completion keeps them."""
+class ScanBroker(Broker):
+    """The one writer of a scan's corpus rows, sidecar and dataset.
 
-    def __init__(self, queue, telemetry, corpus: ScriptCorpus,
-                 store) -> None:
+    Inline, thread and process scans all hand it :meth:`ScanPipeline.scan_job`
+    resolutions. Inside the queue transition it lands a completed
+    site's occurrence rows (one corpus transaction) and then its
+    evidence, so "completed in the queue" always implies both are on
+    disk; once the completion has committed it folds the attempt's own
+    classifications into the dataset. A voided or failed attempt
+    touches none of them.
+    """
+
+    def __init__(self, queue, telemetry, corpus: ScriptCorpus, store,
+                 dataset: ScanDataset) -> None:
         super().__init__(queue, telemetry)
         self.corpus = corpus
         self.store = store
+        self.dataset = dataset
 
     def _stage(self, message, state):
-        if state == COMPLETED:
-            # Persist before the completion commits, so 'completed in
-            # queue' always implies 'evidence on disk'.
-            self.store.save(message["site_url"], message["evidences"])
+        if state != COMPLETED:
+            return
+        site = message["site_url"]
+        evidences = message["evidences"]
+        SiteBatch(self.corpus, site).commit(
+            evidences, message.get("bodies"), message.get("analysis", ()))
+        try:
+            self.store.save(site, evidences)
+        except Exception:
+            self.corpus.retract_site(site)
+            raise
 
     def _settled(self, message, state, staged):
-        token = message.get("token")
-        if token is None:
-            return
         if state == COMPLETED:
-            self.corpus.promote(message["site_url"], token)
-        else:
-            # The verdict was voided by a lost lease: the winning
-            # attempt owns the site's record.
-            self.corpus.drop_staged(token)
+            self.dataset.add_site(message["site_url"], message["front"],
+                                  message["combined"],
+                                  message["evidences"])

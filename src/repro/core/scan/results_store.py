@@ -4,8 +4,8 @@ The scan pipeline's job queue remembers *which* sites are done, but the
 classifications themselves used to live only in the in-memory
 :class:`~repro.core.scan.pipeline.ScanDataset` — so a resumed scan
 silently returned a dataset missing every site completed by earlier
-runs. :class:`ScanResultStore` closes that gap: each worker saves a
-site's raw :class:`~repro.core.scan.classify.VisitEvidence` list right
+runs. :class:`ScanResultStore` closes that gap: the scan broker saves
+a site's raw :class:`~repro.core.scan.classify.VisitEvidence` list right
 before the job is marked completed, and a resume reloads the evidence
 and re-derives the classifications (classification is a pure function
 of evidence, so nothing derived needs to be stored).

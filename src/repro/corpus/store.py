@@ -14,15 +14,19 @@ Design (following Web Execution Bundles' content-addressed archival):
   pattern-set revision (set ``REPRO_CORPUS_CACHE=off`` to bypass — the
   golden regression test proves the cache is semantics-free).
 
-Writes follow the scheduler's storage-lease discipline: a worker's
-attempt *stages* its occurrence rows under an attempt token; the rows
-are promoted to live only when the queue accepts the completion, and a
-verdict voided by a lost lease drops its staged rows — retracting the
-refcounts that attempt would have contributed. Script *bodies* are
-written at stage time, unconditionally: a job marked completed must
-always be resolvable to sources on resume, even if the process dies
-between queue completion and promotion. Unreferenced bodies are
-reclaimed by :meth:`ScriptCorpus.vacuum`, never implicitly.
+Writes follow the scheduler's "stage, then settle" discipline. A
+worker's attempt writes only script *bodies*, as each visit ends
+(:meth:`SiteBatch.flush_visit`): a body is content-addressed and never
+retracted, so writing it early is always safe, and it lets the attempt
+classify against the corpus. The site's occurrence rows wait for the
+scan broker: when the queue accepts the completion, :meth:`SiteBatch.commit`
+lands them, derived from the site's evidence, in one transaction that
+replaces any earlier live rows and keeps refcounts equal to live
+occurrence counts. A voided attempt lands nothing. Unreferenced bodies
+are reclaimed by :meth:`ScriptCorpus.vacuum`, never implicitly.
+
+A corpus written by an older layout may still hold a table of staged
+attempt rows; it is ignored.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import os
 import sqlite3
 import threading
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # imported lazily at runtime; see scan()
+    from repro.core.scan.classify import VisitEvidence
     from repro.core.scan.static_analysis import PatternHit
 
 _SCHEMA = """
@@ -53,14 +58,6 @@ CREATE TABLE IF NOT EXISTS occurrences (
     PRIMARY KEY (site, visit_index, script_url, hash)
 );
 CREATE INDEX IF NOT EXISTS occurrences_hash ON occurrences(hash);
-CREATE TABLE IF NOT EXISTS staged_occurrences (
-    token TEXT NOT NULL,
-    site TEXT NOT NULL,
-    visit_index INTEGER NOT NULL,
-    script_url TEXT NOT NULL,
-    hash TEXT NOT NULL,
-    PRIMARY KEY (token, visit_index, script_url, hash)
-);
 CREATE TABLE IF NOT EXISTS analysis_cache (
     hash TEXT NOT NULL,
     pattern_version TEXT NOT NULL,
@@ -134,51 +131,52 @@ def cache_enabled_from_env() -> bool:
 
 
 class SiteBatch:
-    """One attempt's staged corpus writes for one site.
+    """One attempt's corpus writes for one site.
 
-    Script additions accumulate in memory and are flushed in a single
-    transaction per visit (:meth:`flush_visit`); :meth:`commit` flushes
-    any remainder. The batch's rows stay *staged* until the corpus
-    promotes them on an accepted queue completion.
+    Script bodies accumulate in memory and are written in a single
+    transaction per visit (:meth:`flush_visit`). The site's occurrence
+    rows are not written by the attempt: :meth:`commit` lands them once
+    the queue accepts its completion.
     """
 
-    def __init__(self, corpus: "ScriptCorpus", site: str,
-                 token: str) -> None:
+    def __init__(self, corpus: "ScriptCorpus", site: str) -> None:
         self.corpus = corpus
         self.site = site
-        self.token = token
-        self._visit_index = 0
-        self._pending: List[Tuple[int, str, str, str]] = []
         self._pending_bodies: Dict[str, str] = {}
-        self._seen: set = set()
 
-    def add(self, script_url: str, source: str) -> str:
-        """Record one collected script for the current visit."""
+    def add(self, source: str) -> str:
+        """Record one collected script body; returns its address."""
         digest = script_hash(source)
-        key = (self._visit_index, script_url, digest)
-        if key not in self._seen:
-            self._seen.add(key)
-            self._pending.append(
-                (self._visit_index, script_url, digest, self.token))
-            if not self.corpus.has(digest):
-                self._pending_bodies.setdefault(digest, source)
+        if digest not in self._pending_bodies \
+                and not self.corpus.has(digest):
+            self._pending_bodies[digest] = source
         return digest
 
     def flush_visit(self) -> None:
-        """Write the current visit's rows and move to the next visit."""
-        self.corpus._stage(self.site, self._pending,
-                           self._pending_bodies)
-        self._pending = []
+        """Write the current visit's new bodies."""
+        self.corpus.put_many(self._pending_bodies)
         self._pending_bodies = {}
-        self._visit_index += 1
 
-    def commit(self) -> None:
-        """Flush anything still pending (idempotent)."""
-        if self._pending or self._pending_bodies:
-            self.corpus._stage(self.site, self._pending,
-                               self._pending_bodies)
-            self._pending = []
-            self._pending_bodies = {}
+    def commit(self, evidences: List["VisitEvidence"],
+               bodies: Optional[Dict[str, str]] = None,
+               analysis: Iterable[Tuple[str, str, int, str]] = ()
+               ) -> None:
+        """Land *evidences* as the site's record, in one transaction.
+
+        One occurrence row per distinct ``(visit position, script_url,
+        hash)`` of the evidence replaces the site's earlier live rows,
+        with refcounts kept equal to live occurrence counts. *bodies*
+        and *analysis* rows (an attempt that ran against another
+        corpus ships them) are stored in the same transaction.
+        """
+        rows = list(dict.fromkeys(
+            (self.site, index, script_url, digest)
+            for index, evidence in enumerate(evidences)
+            for script_url, digest in evidence.scripts))
+        self.corpus._land(self.site, rows,
+                          {**self._pending_bodies, **(bodies or {})},
+                          list(analysis))
+        self._pending_bodies = {}
 
 
 class ScriptCorpus:
@@ -199,7 +197,6 @@ class ScriptCorpus:
         self._memo: Dict[Tuple[str, bool], List[str]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self._token_seq = 0
         with self._lock:
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
@@ -314,94 +311,33 @@ class ScriptCorpus:
             self._conn.commit()
             return hit
 
-    # -- staged writes (storage-lease discipline) ----------------------
+    # -- landing a settled attempt -------------------------------------
     def site_batch(self, site: str) -> SiteBatch:
-        with self._lock:
-            self._token_seq += 1
-            token = f"{site}#{self._token_seq}"
-        return SiteBatch(self, site, token)
+        return SiteBatch(self, site)
 
-    def _stage(self, site: str,
-               rows: List[Tuple[int, str, str, str]],
-               bodies: Dict[str, str]) -> None:
+    def _land(self, site: str, rows: List[Tuple[str, int, str, str]],
+              bodies: Dict[str, str],
+              analysis: List[Tuple[str, str, int, str]]) -> None:
         with self._lock:
-            for digest, source in bodies.items():
-                self._insert_body(digest, source)
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO staged_occurrences "
-                "(token, site, visit_index, script_url, hash) "
-                "VALUES (?, ?, ?, ?, ?)",
-                [(token, site, visit_index, script_url, digest)
-                 for visit_index, script_url, digest, token in rows])
-            self._conn.commit()
-
-    def promote(self, site: str, token: str) -> None:
-        """Make one accepted attempt's staged rows the site's record.
-
-        Replaces any live rows for the site (a re-run after a voided
-        verdict supersedes the old record), keeping refcounts equal to
-        live occurrence-row counts throughout.
-        """
-        with self._lock:
-            self._retract_site_locked(site)
-            staged = self._conn.execute(
-                "SELECT site, visit_index, script_url, hash "
-                "FROM staged_occurrences WHERE token = ?",
-                (token,)).fetchall()
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO occurrences "
-                "(site, visit_index, script_url, hash) "
-                "VALUES (?, ?, ?, ?)",
-                [(row["site"], row["visit_index"], row["script_url"],
-                  row["hash"]) for row in staged])
-            for row in staged:
-                self._conn.execute(
+            try:
+                for digest, source in bodies.items():
+                    self._insert_body(digest, source)
+                self._retract_site_locked(site)
+                self._conn.executemany(
+                    "INSERT INTO occurrences "
+                    "(site, visit_index, script_url, hash) "
+                    "VALUES (?, ?, ?, ?)", rows)
+                self._conn.executemany(
                     "UPDATE scripts SET refcount = refcount + 1 "
-                    "WHERE hash = ?", (row["hash"],))
-            self._conn.execute(
-                "DELETE FROM staged_occurrences WHERE token = ?",
-                (token,))
-            self._conn.commit()
-
-    def recover_site(self, site: str) -> None:
-        """Repair a completed site after a crash mid-promotion.
-
-        If the site has live occurrence rows, any leftover staged rows
-        for it are stale (a voided sibling attempt) and are dropped;
-        if it has none but staged rows exist, the process died between
-        queue completion and promotion, and the staged rows (deduped
-        across attempts) become the live record.
-        """
-        with self._lock:
-            live = self._conn.execute(
-                "SELECT 1 FROM occurrences WHERE site = ? LIMIT 1",
-                (site,)).fetchone()
-            if live is None:
-                staged = self._conn.execute(
-                    "SELECT DISTINCT site, visit_index, script_url, hash "
-                    "FROM staged_occurrences WHERE site = ?",
-                    (site,)).fetchall()
-                for row in staged:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO occurrences "
-                        "(site, visit_index, script_url, hash) "
-                        "VALUES (?, ?, ?, ?)",
-                        (row["site"], row["visit_index"],
-                         row["script_url"], row["hash"]))
-                    self._conn.execute(
-                        "UPDATE scripts SET refcount = refcount + 1 "
-                        "WHERE hash = ?", (row["hash"],))
-            self._conn.execute(
-                "DELETE FROM staged_occurrences WHERE site = ?", (site,))
-            self._conn.commit()
-
-    def drop_staged(self, token: str) -> None:
-        """Retract a voided attempt's staged rows (lost lease)."""
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM staged_occurrences WHERE token = ?",
-                (token,))
-            self._conn.commit()
+                    "WHERE hash = ?", [(row[3],) for row in rows])
+                self._conn.executemany(
+                    "INSERT OR IGNORE INTO analysis_cache "
+                    "(hash, pattern_version, preprocess, matched_json) "
+                    "VALUES (?, ?, ?, ?)", analysis)
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
 
     def retract_site(self, site: str) -> None:
         """Remove a site's live occurrence rows and their refcounts."""
@@ -421,12 +357,11 @@ class ScriptCorpus:
                            (site,))
 
     def vacuum(self) -> int:
-        """Drop bodies referenced by no live or staged occurrence."""
+        """Drop bodies referenced by no live occurrence."""
         with self._lock:
             cursor = self._conn.execute(
                 "DELETE FROM scripts WHERE refcount <= 0 "
-                "AND hash NOT IN (SELECT hash FROM occurrences) "
-                "AND hash NOT IN (SELECT hash FROM staged_occurrences)")
+                "AND hash NOT IN (SELECT hash FROM occurrences)")
             self._conn.execute(
                 "DELETE FROM analysis_cache WHERE hash NOT IN "
                 "(SELECT hash FROM scripts)")
@@ -434,6 +369,12 @@ class ScriptCorpus:
             return cursor.rowcount
 
     # -- bookkeeping ---------------------------------------------------
+    def sites(self) -> List[str]:
+        """Every site with live occurrence rows, sorted."""
+        with self._lock:
+            return [row["site"] for row in self._conn.execute(
+                "SELECT DISTINCT site FROM occurrences ORDER BY site")]
+
     def occurrence_rows(self) -> List[Tuple[str, int, str, str]]:
         """Sorted live index rows, for equality checks across runs."""
         with self._lock:
@@ -521,7 +462,7 @@ class ScriptCorpus:
         The content address is the only line of defense between a
         flipped bit on disk and a silently wrong replay/classification,
         so the check is exhaustive: every body is decompressed and
-        re-hashed, every occurrence/staged/analysis row must reference
+        re-hashed, every occurrence/analysis row must reference
         a stored body, and refcounts must equal live occurrence counts.
         """
         corrupt: List[Dict[str, str]] = []
@@ -556,7 +497,6 @@ class ScriptCorpus:
                     "ORDER BY hash")]
 
             orphaned_occurrences = _orphans("occurrences")
-            orphaned_staged = _orphans("staged_occurrences")
             orphaned_analysis = _orphans("analysis_cache")
             refcount_drift = [
                 {"hash": r["hash"], "refcount": int(r["refcount"]),
@@ -572,12 +512,10 @@ class ScriptCorpus:
             "bodies_checked": checked,
             "corrupt": corrupt,
             "orphaned_occurrences": orphaned_occurrences,
-            "orphaned_staged": orphaned_staged,
             "orphaned_analysis": orphaned_analysis,
             "refcount_drift": refcount_drift,
             "ok": not (corrupt or orphaned_occurrences
-                       or orphaned_staged or orphaned_analysis
-                       or refcount_drift),
+                       or orphaned_analysis or refcount_drift),
         }
 
     def total_stored_bytes(self) -> int:
@@ -632,8 +570,7 @@ class ScriptCorpus:
 
     def clear(self) -> None:
         with self._lock:
-            for table in ("scripts", "occurrences",
-                          "staged_occurrences", "analysis_cache"):
+            for table in ("scripts", "occurrences", "analysis_cache"):
                 self._conn.execute(f"DELETE FROM {table}")  # noqa: S608
             self._memo.clear()
             self.cache_hits = 0

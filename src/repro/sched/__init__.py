@@ -30,7 +30,6 @@ from repro.sched.procpool import (
     CrawlBroker,
     ProcessPool,
     ProcPoolReport,
-    ScanBroker,
     WorkerSpec,
     diff_snapshots,
     run_process_crawl,
@@ -57,7 +56,6 @@ __all__ = [
     "CrawlBroker",
     "ProcessPool",
     "ProcPoolReport",
-    "ScanBroker",
     "WorkerSpec",
     "diff_snapshots",
     "run_process_crawl",

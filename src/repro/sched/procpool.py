@@ -15,6 +15,11 @@ thread (and the GIL) forever. This module gives the watchdog teeth:
   crawl settles through, and the one and only writer of the crawl
   database, so SQLite never sees concurrent writers and a voided
   attempt's envelope is dropped before it reaches the database;
+* a scan worker runs :meth:`~repro.core.scan.pipeline.ScanPipeline.scan_job`
+  against its own in-memory corpus and ships the resolution, with the
+  script bodies it saw, to the
+  :class:`~repro.core.scan.pipeline.ScanBroker` an inline or thread
+  scan settles through too;
 * the broker applies *final* job resolutions in strict job-id order, so
   a clean N-process crawl lands byte-identical visit ids and row order
   to the 1-worker inline path;
@@ -57,9 +62,7 @@ from repro.obs.clock import WallClock
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.sched.jobs import COMPLETED, Job, JobQueue
 from repro.sched.settle import (
-    COMPLETE,
     LOST,
-    RETRY,
     Broker,
     SettleTally,
     record_reclaim,
@@ -407,8 +410,7 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
 
 def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                      journal: Any) -> None:
-    from repro.core.scan.pipeline import ScanDataset, ScanPipeline
-    from repro.core.scan.results_store import evidence_to_dict
+    from repro.core.scan.pipeline import ScanPipeline
     from repro.corpus import ScriptCorpus
     from repro.jsengine.interpreter import export_cache_metrics
     from repro.web import build_world
@@ -422,31 +424,12 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     faults = _ProcFaults(plan, conn, journal)
     faults.install_reporting()
     corpus = ScriptCorpus(":memory:")
-    dataset = ScanDataset(corpus=corpus)
 
     def run_job(job: Job, heartbeat: _Heartbeat) -> Dict[str, Any]:
-        batch = corpus.site_batch(job.site_url)
-        try:
-            pipeline._scan_site(job.site_url, dataset,
-                                spec.scan_visit_subpages, batch)
-            batch.commit()
-            heartbeat.beat(force=True)
-            evidences = dataset.evidence[job.site_url]
-            digests = {digest for evidence in evidences
-                       for _, digest in evidence.scripts}
-            resolution = {
-                "kind": COMPLETE, "error": "",
-                "evidences": [evidence_to_dict(e) for e in evidences],
-                "bodies": {d: corpus.source(d) for d in digests},
-                "analysis": [row for row
-                             in corpus.export_analysis_cache()
-                             if row[0] in digests]}
-        except Exception as exc:  # noqa: BLE001 - mirrors pool
-            corpus.drop_staged(batch.token)
-            abandon = getattr(web.network, "abandon_site", None)
-            if abandon is not None:
-                abandon()
-            resolution = {"kind": RETRY, "error": repr(exc)}
+        resolution = pipeline.scan_job(job.site_url, corpus,
+                                       spec.scan_visit_subpages,
+                                       ship_sources=True)
+        heartbeat.beat(force=True)
         # Refresh the engine-cache gauges so the shipped snapshot
         # carries them (the inline path exports these at run end).
         export_cache_metrics(telemetry.metrics)
@@ -839,59 +822,6 @@ class ProcessPool:
 
 
 # ----------------------------------------------------------------------
-# Coordinator side: the scan broker
-# ----------------------------------------------------------------------
-class ScanBroker(Broker):
-    """Single writer of the scan corpus, sidecar store, and dataset."""
-
-    def __init__(self, queue: JobQueue, corpus: Any, store: Any,
-                 dataset: Any, telemetry: Telemetry) -> None:
-        super().__init__(queue, telemetry)
-        self.corpus = corpus
-        self.store = store
-        self.dataset = dataset
-
-    def _stage(self, message: Dict[str, Any], state: str) -> Any:
-        """Stage a completed site's corpus rows and persist its
-        evidence; returns ``(batch token, evidences)``."""
-        if state != COMPLETED:
-            return None
-        from repro.core.scan.results_store import evidence_from_dict
-
-        bodies = message["bodies"]
-        evidences = [evidence_from_dict(item)
-                     for item in message["evidences"]]
-        # Stage through the same batch machinery the inline handler
-        # uses, in the same per-visit order, so occurrence rows and
-        # refcounts come out identical to a 1-worker run.
-        batch = self.corpus.site_batch(message["site_url"])
-        for evidence in evidences:
-            for script_url, digest in evidence.scripts:
-                batch.add(script_url, bodies[digest])
-            batch.flush_visit()
-        batch.commit()
-        self.corpus.import_analysis_cache(
-            [tuple(row) for row in message.get("analysis", [])])
-        # Persist before the completion commits, so 'completed in
-        # queue' always implies 'evidence on disk'.
-        self.store.save(message["site_url"], evidences)
-        return batch.token, evidences
-
-    def _settled(self, message: Dict[str, Any], state: str,
-                 staged: Any) -> None:
-        if staged is None:
-            return
-        token, evidences = staged
-        from repro.core.scan.classify import classify_site
-
-        domain = message["site_url"]
-        self.corpus.promote(domain, token)
-        self.dataset.add_site(
-            domain, classify_site(domain, evidences[:1], corpus=self.corpus),
-            classify_site(domain, evidences, corpus=self.corpus), evidences)
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def run_process_crawl(manager: Any, urls: List[str], *,
@@ -974,9 +904,9 @@ def run_process_crawl(manager: Any, urls: List[str], *,
         scheduler.close()
 
 
-def run_process_scan(pipeline: Any, scheduler: Any, corpus: Any,
-                     store: Any, dataset: Any, *, queue_path: str,
-                     worker_procs: int, world_seed: int = 7,
+def run_process_scan(pipeline: Any, scheduler: Any, broker: Broker, *,
+                     queue_path: str, worker_procs: int,
+                     world_seed: int = 7,
                      visit_subpages: bool = True,
                      fault_plan: Optional[Any] = None,
                      journal_dir: Optional[str] = None,
@@ -987,13 +917,11 @@ def run_process_scan(pipeline: Any, scheduler: Any, corpus: Any,
                      respawn_backoff: float = 0.5) -> Any:
     """Process-pool backend for :meth:`ScanPipeline.run`.
 
-    The caller (the pipeline) owns corpus/store/dataset and the
-    scheduler; this function owns the workers and the single-writer
-    :class:`ScanBroker` that folds their envelopes back in.
+    The caller (the pipeline) owns the scheduler and the
+    :class:`~repro.core.scan.pipeline.ScanBroker` every worker's
+    resolutions settle through; this function owns the workers.
     """
     telemetry = pipeline.telemetry
-    broker = ScanBroker(scheduler.queue, corpus, store, dataset,
-                        telemetry)
     plan_dict = fault_plan.to_dict() if fault_plan is not None else None
 
     def make_spec(slot: int, generation: int,

@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from repro.core.scan.classify import VisitEvidence
 from repro.core.scan.static_analysis import (
     PATTERN_SET_VERSION,
     scan_script,
@@ -135,41 +136,58 @@ class TestMemoizedScan:
         assert ScriptCorpus().cache_enabled
 
 
+def land(corpus, site, *visits):
+    """One attempt at *site* visiting pages that load the given
+    ``(script_url, source)`` lists, landed as the site's record."""
+    batch = corpus.site_batch(site)
+    evidences = []
+    for index, scripts in enumerate(visits):
+        evidence = VisitEvidence(page_url=f"https://{site}/{index}")
+        evidence.scripts = [(url, batch.add(source))
+                            for url, source in scripts]
+        batch.flush_visit()
+        evidences.append(evidence)
+    batch.commit(evidences)
+    return evidences
+
+
 class TestBatchLifecycle:
-    def test_staged_rows_not_live_until_promoted(self):
+    def test_attempt_writes_bodies_and_no_rows(self):
         corpus = ScriptCorpus()
         batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
+        digest = batch.add(DETECTOR)
         batch.flush_visit()
-        batch.commit()
+        # The body is resolvable at once (the attempt classifies
+        # against it); the occurrence rows wait for the landing.
+        assert corpus.source(digest) == DETECTOR
         assert corpus.stats()["occurrences"] == 0
-        # body is resolvable immediately (completed => resolvable)
-        assert corpus.source(script_hash(DETECTOR)) == DETECTOR
-        corpus.promote("a.test", batch.token)
-        stats = corpus.stats()
-        assert stats["occurrences"] == 1
-        assert stats["unique_scripts"] == 1
+        assert corpus.sites() == []
 
     def test_visit_index_tracks_visits(self):
         corpus = ScriptCorpus()
-        batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        batch.commit()
-        corpus.promote("a.test", batch.token)
-        rows = corpus.occurrence_rows()
-        assert [r[1] for r in rows] == [0, 1]
+        evidences = land(corpus, "a.test",
+                         [("https://a.test/x.js", DETECTOR)],
+                         [("https://a.test/x.js", DETECTOR),
+                          ("https://a.test/y.js", BENIGN)])
+        digest = evidences[0].scripts[0][1]
+        assert corpus.occurrence_rows() == sorted([
+            ("a.test", 0, "https://a.test/x.js", digest),
+            ("a.test", 1, "https://a.test/x.js", digest),
+            ("a.test", 1, "https://a.test/y.js", script_hash(BENIGN))])
+        assert corpus.sites() == ["a.test"]
+
+    def test_duplicate_evidence_entries_land_once(self):
+        corpus = ScriptCorpus()
+        land(corpus, "a.test", [("https://a.test/x.js", DETECTOR),
+                                ("https://a.test/x.js", DETECTOR)])
+        assert corpus.stats()["occurrences"] == 1
+        assert corpus.verify()["ok"]
 
     def test_refcounts_match_occurrences(self):
         corpus = ScriptCorpus()
         for site in ("a.test", "b.test", "c.test"):
-            batch = corpus.site_batch(site)
-            batch.add(f"https://{site}/x.js", DETECTOR)
-            batch.add(f"https://{site}/y.js", BENIGN)
-            batch.flush_visit()
-            corpus.promote(site, batch.token)
+            land(corpus, site, [(f"https://{site}/x.js", DETECTOR),
+                                (f"https://{site}/y.js", BENIGN)])
         with corpus._lock:
             rows = corpus._conn.execute(
                 "SELECT refcount FROM scripts ORDER BY hash").fetchall()
@@ -179,76 +197,67 @@ class TestBatchLifecycle:
     def test_dropped_attempt_retracts_refcounts(self):
         corpus = ScriptCorpus()
         batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
+        batch.add(DETECTOR)
         batch.flush_visit()
-        corpus.drop_staged(batch.token)
-        corpus.promote("a.test", batch.token)  # nothing staged: no-op
         stats = corpus.stats()
         assert stats["occurrences"] == 0
         assert stats["unique_scripts"] == 0
         assert corpus.vacuum() == 1  # orphaned body reclaimed
 
-    def test_promote_replaces_previous_record(self):
+    def test_landing_replaces_previous_record(self):
         corpus = ScriptCorpus()
-        first = corpus.site_batch("a.test")
-        first.add("https://a.test/x.js", DETECTOR)
-        first.flush_visit()
-        corpus.promote("a.test", first.token)
-        second = corpus.site_batch("a.test")
-        second.add("https://a.test/y.js", BENIGN)
-        second.flush_visit()
-        corpus.promote("a.test", second.token)
+        land(corpus, "a.test", [("https://a.test/x.js", DETECTOR)])
+        land(corpus, "a.test", [("https://a.test/y.js", BENIGN)])
         rows = corpus.occurrence_rows()
         assert len(rows) == 1 and rows[0][2] == "https://a.test/y.js"
         assert corpus.stats()["unique_scripts"] == 1
+        assert corpus.verify()["ok"]
+
+    def test_commit_stores_shipped_bodies_and_analysis(self):
+        worker = ScriptCorpus()
+        evidences = land(worker, "a.test",
+                         [("https://a.test/x.js", DETECTOR)])
+        digest = evidences[0].scripts[0][1]
+        worker.scan(digest)
+        coordinator = ScriptCorpus()
+        coordinator.site_batch("a.test").commit(
+            evidences, {digest: worker.source(digest)},
+            worker.export_analysis_cache())
+        assert coordinator.occurrence_rows() == worker.occurrence_rows()
+        assert coordinator.export_analysis_cache() \
+            == worker.export_analysis_cache()
+        assert coordinator.verify()["ok"]
+
+    def test_failed_landing_rolls_back(self):
+        corpus = ScriptCorpus()
+        land(corpus, "a.test", [("https://a.test/x.js", DETECTOR)])
+        before = corpus.occurrence_rows()
+        evidence = VisitEvidence(page_url="https://a.test/")
+        evidence.scripts = [("https://a.test/y.js", script_hash(BENIGN))]
+        # Malformed analysis rows fail the transaction after the old
+        # rows were retracted and the new ones inserted.
+        with pytest.raises(sqlite3.Error):
+            corpus.site_batch("a.test").commit(
+                [evidence], {script_hash(BENIGN): BENIGN}, [("x",)])
+        assert corpus.occurrence_rows() == before
+        assert not corpus.has(script_hash(BENIGN))
+        assert corpus.verify()["ok"]
 
     def test_retract_site(self):
         corpus = ScriptCorpus()
-        batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        corpus.promote("a.test", batch.token)
+        land(corpus, "a.test", [("https://a.test/x.js", DETECTOR)])
         corpus.retract_site("a.test")
         assert corpus.stats()["occurrences"] == 0
         assert corpus.stats()["unique_scripts"] == 0
-
-    def test_recover_site_promotes_orphaned_stage(self):
-        # Simulates a crash between queue completion and promotion.
-        corpus = ScriptCorpus()
-        batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        corpus.recover_site("a.test")
-        stats = corpus.stats()
-        assert stats["occurrences"] == 1
-        assert stats["unique_scripts"] == 1
-
-    def test_recover_site_drops_stale_stage_when_live(self):
-        corpus = ScriptCorpus()
-        winner = corpus.site_batch("a.test")
-        winner.add("https://a.test/x.js", DETECTOR)
-        winner.flush_visit()
-        corpus.promote("a.test", winner.token)
-        loser = corpus.site_batch("a.test")
-        loser.add("https://a.test/x.js", DETECTOR)
-        loser.flush_visit()
-        corpus.recover_site("a.test")
-        assert corpus.stats()["occurrences"] == 1
-        with corpus._lock:
-            staged = corpus._conn.execute(
-                "SELECT COUNT(*) AS n FROM staged_occurrences"
-            ).fetchone()["n"]
-        assert staged == 0
+        assert corpus.sites() == []
 
 
 class TestPersistence:
     def test_bodies_and_index_survive_reopen(self, tmp_path):
         path = str(tmp_path / "c.corpus")
         corpus = ScriptCorpus(path)
-        batch = corpus.site_batch("a.test")
-        digest = batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        corpus.promote("a.test", batch.token)
+        digest = land(corpus, "a.test",
+                      [("https://a.test/x.js", DETECTOR)])[0].scripts[0][1]
         corpus.close()
         reopened = ScriptCorpus(path)
         assert reopened.source(digest) == DETECTOR
@@ -259,10 +268,7 @@ class TestPersistence:
     def test_clear_resets_everything(self, tmp_path):
         path = str(tmp_path / "c.corpus")
         corpus = ScriptCorpus(path)
-        batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/x.js", DETECTOR)
-        batch.flush_visit()
-        corpus.promote("a.test", batch.token)
+        land(corpus, "a.test", [("https://a.test/x.js", DETECTOR)])
         corpus.scan(script_hash(DETECTOR))
         corpus.clear()
         stats = corpus.stats()
@@ -276,20 +282,14 @@ class TestPersistence:
         corpus = ScriptCorpus()
         # highly repetitive source, like real minified bundles
         body = "var a = 'webdriver';\n" * 200
-        batch = corpus.site_batch("a.test")
-        batch.add("https://a.test/big.js", body)
-        batch.flush_visit()
-        corpus.promote("a.test", batch.token)
+        land(corpus, "a.test", [("https://a.test/big.js", body)])
         stats = corpus.stats()
         assert stats["corpus_bytes"] < stats["unique_raw_bytes"] / 5
 
     def test_stats_raw_bytes_counts_occurrences(self):
         corpus = ScriptCorpus()
         for site in ("a.test", "b.test"):
-            batch = corpus.site_batch(site)
-            batch.add(f"https://{site}/x.js", DETECTOR)
-            batch.flush_visit()
-            corpus.promote(site, batch.token)
+            land(corpus, site, [(f"https://{site}/x.js", DETECTOR)])
         stats = corpus.stats()
         assert stats["raw_bytes"] == 2 * len(DETECTOR.encode())
         assert stats["unique_raw_bytes"] == len(DETECTOR.encode())
@@ -305,3 +305,24 @@ class TestFormatMeta:
         ).fetchone()
         conn.close()
         assert row is not None
+
+    def test_corpus_with_a_staged_table_still_opens(self, tmp_path):
+        # Older layouts kept attempts' rows in a staged_occurrences
+        # table until promotion; such a corpus opens, and the leftover
+        # table is ignored.
+        path = str(tmp_path / "c.corpus")
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE staged_occurrences (token TEXT, "
+                     "site TEXT, visit_index INTEGER, script_url TEXT, "
+                     "hash TEXT)")
+        conn.execute("INSERT INTO staged_occurrences VALUES "
+                     "('a.test#1', 'a.test', 0, 'https://a.test/x.js', ?)",
+                     (script_hash(DETECTOR),))
+        conn.commit()
+        conn.close()
+        corpus = ScriptCorpus(path)
+        land(corpus, "b.test", [("https://b.test/x.js", DETECTOR)])
+        report = corpus.verify()
+        assert report["ok"] and "orphaned_staged" not in report
+        assert corpus.sites() == ["b.test"]
+        corpus.close()

@@ -33,6 +33,12 @@ from repro.obs.telemetry import Telemetry
 from repro.sched import JobQueue, diff_snapshots
 from repro.openwpm.storage import StorageController
 from repro.sched.settle import _Finalizer
+from tests.test_scan_settle import (
+    assert_same_scan,
+    resume_after_crash_window,
+    scan_fingerprint,
+    sidecar_evidence,
+)
 from tests.test_stage_settle import (
     ProcessDied,
     assert_each_site_ends_once,
@@ -122,22 +128,43 @@ class TestScanProcEquivalence:
         from repro.web import build_world
 
         world = build_world(site_count=8, seed=5)
+        inline_queue = str(tmp_path / "inline.queue")
+        proc_queue = str(tmp_path / "proc.queue")
         inline = ScanPipeline(world, client_id="proc-test").run(
-            visit_subpages=True, workers=1,
-            queue_path=str(tmp_path / "inline.queue"))
+            visit_subpages=True, workers=1, queue_path=inline_queue)
         procs = ScanPipeline(world, client_id="proc-test").run(
             visit_subpages=True, worker_procs=2, world_seed=5,
-            queue_path=str(tmp_path / "proc.queue"))
+            queue_path=proc_queue)
         try:
-            assert procs.corpus.occurrence_rows() \
-                == inline.corpus.occurrence_rows()
-            assert procs.corpus.hashes() == inline.corpus.hashes()
-            assert procs.unique_scripts == inline.unique_scripts
-            assert procs.table5() == inline.table5()
-            assert procs.table11() == inline.table11()
+            assert_same_scan(scan_fingerprint(procs, proc_queue),
+                             scan_fingerprint(inline, inline_queue))
         finally:
             inline.corpus.close()
             procs.corpus.close()
+
+    def test_crash_after_rows_landed_resumes_to_the_clean_result(
+            self, tmp_path, monkeypatch):
+        """The process-pool twin of the scan crash window in
+        ``test_scan_settle.py``: the coordinator dies saving a site's
+        evidence after its broker landed the site's corpus rows."""
+        from repro.core.scan import ScanPipeline
+        from repro.web import build_world
+
+        world = build_world(site_count=4, seed=5)
+        clean_queue = str(tmp_path / "clean.queue")
+        clean = ScanPipeline(world, client_id="crash-window").run(
+            visit_subpages=True, queue_path=clean_queue)
+        resumed, queue_path = resume_after_crash_window(
+            world, tmp_path, monkeypatch, worker_procs=1, world_seed=5)
+        try:
+            assert resumed.corpus.occurrence_rows() \
+                == clean.corpus.occurrence_rows()
+            assert sidecar_evidence(queue_path) \
+                == sidecar_evidence(clean_queue)
+            assert resumed.table5() == clean.table5()
+        finally:
+            clean.corpus.close()
+            resumed.corpus.close()
 
     def test_proc_scan_records_queue_histograms(self, tmp_path):
         from repro.core.scan import ScanPipeline

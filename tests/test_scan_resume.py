@@ -21,6 +21,7 @@ from repro.core.scan.results_store import (
 )
 from repro.corpus import MissingScriptError, ScriptCorpus, corpus_path_for
 from repro.web import build_world
+from tests.test_scan_settle import assert_same_scan, scan_fingerprint
 
 
 def _write_v1_sidecar(path: str) -> None:
@@ -132,25 +133,23 @@ class TestMissingCorpusBody:
 class TestMultiWorkerDeterminism:
     def test_worker_count_does_not_change_corpus_or_tables(
             self, world, tmp_path):
-        datasets = {}
+        datasets, queues = {}, {}
         for workers in (1, 3):
-            queue = str(tmp_path / f"w{workers}.queue")
+            queues[workers] = str(tmp_path / f"w{workers}.queue")
             pipeline = ScanPipeline(world, client_id="mw-test")
             datasets[workers] = pipeline.run(
-                visit_subpages=True, workers=workers, queue_path=queue)
+                visit_subpages=True, workers=workers,
+                queue_path=queues[workers])
         one, three = datasets[1], datasets[3]
         try:
-            assert three.corpus.occurrence_rows() \
-                == one.corpus.occurrence_rows()
-            assert three.corpus.hashes() == one.corpus.hashes()
-            assert three.unique_scripts == one.unique_scripts
-            assert three.table5() == one.table5()
-            assert three.table11() == one.table11()
+            assert_same_scan(scan_fingerprint(three, queues[3]),
+                             scan_fingerprint(one, queues[1]))
             # Refcount discipline holds under contention: every body's
             # refcount equals its live occurrence count in both runs.
             for dataset in (one, three):
                 stats = dataset.corpus.stats()
                 assert stats["unique_scripts"] == stats["stored_bodies"]
+                assert dataset.corpus.verify()["ok"]
         finally:
             one.corpus.close()
             three.corpus.close()
