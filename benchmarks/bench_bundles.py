@@ -116,7 +116,7 @@ def measure_replay_speedup(site_count: int = BUNDLE_SITES,
     verdicts replayed) and cold-cache (what an *edited* pattern set
     pays: every stored source re-scanned) variants.
     """
-    from repro.bundles import Bundle, BundleRecorder, ReplayWeb
+    from repro.bundles import Bundle, BundleWriter, ReplayWeb
     from repro.bundles.reanalyze import reanalyze_bundle
     from repro.core.scan import ScanPipeline
     from repro.web import build_world
@@ -130,13 +130,13 @@ def measure_replay_speedup(site_count: int = BUNDLE_SITES,
         web = build_world(site_count=site_count, seed=BENCH_SEED)
         recorder = None
         if record is not None:
-            recorder = BundleRecorder(
+            recorder = BundleWriter(
                 record, kind="scan",
                 sites=[config.domain for config in web.configs])
         pipeline = ScanPipeline(web, recorder=recorder)
         pipeline.run(visit_subpages=True)
         if recorder is not None:
-            recorder.close(complete=True)
+            recorder.finalize(complete=True)
         return time.process_time() - start
 
     def timed_replay():

@@ -6,7 +6,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.browser.cookies import Cookie, CookieJar
 from repro.browser.extension import ExtensionHost
@@ -78,6 +78,10 @@ class Browser:
         self._timer_ids = itertools.count(1)
         self._window_count = 0
         self._local_storage: Dict[str, Dict[str, str]] = {}
+        #: Optional :class:`repro.bundles.BundleCapture`: when set,
+        #: every fetch's hop chain is captured for an execution bundle;
+        #: when unset the cost is this one attribute check per fetch.
+        self.capture: Optional[Any] = None
 
         # Per-visit state
         self.exchanges: List[ExchangeRecord] = []
@@ -311,6 +315,8 @@ class Browser:
             headers={"User-Agent": self.client.user_agent},
         )
         response, hops = self.network.fetch(request, self.client)
+        if self.capture is not None:
+            self.capture.on_fetch(hops)
         for hop in hops:
             self.exchanges.append(hop)
             for set_cookie in hop.response.set_cookies:
@@ -349,6 +355,8 @@ class Browser:
                 frame_url=window.url,
             )
             response, hops = self.network.fetch(request, self.client)
+            if self.capture is not None:
+                self.capture.on_fetch(hops)
             for hop in hops:
                 self.exchanges.append(hop)
                 if self.extension is not None:

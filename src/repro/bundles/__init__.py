@@ -24,14 +24,14 @@ from repro.bundles.bundle import (
 )
 from repro.bundles.fidelity import diff_bundles, render_fidelity_report
 from repro.bundles.reanalyze import reanalyze_bundle, reanalyze_path
-from repro.bundles.record import BundleRecorder
+from repro.bundles.record import BundleCapture
 from repro.bundles.replay import ReplayNetwork, ReplayWeb
 
 __all__ = [
     "BUNDLE_FORMAT",
     "Bundle",
+    "BundleCapture",
     "BundleError",
-    "BundleRecorder",
     "BundleVisit",
     "BundleWriter",
     "IncompleteBundleError",

@@ -42,6 +42,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bundles.codec import canonical_json
 from repro.corpus.store import ScriptCorpus, script_hash
+from repro.obs.telemetry import coalesce
 
 #: Bump when the on-disk layout changes incompatibly.
 BUNDLE_FORMAT = 1
@@ -114,12 +115,15 @@ class BundleWriter:
     visit rows, blobs, verdict — in a single transaction, so a crash
     leaves whole sites, never torn visits, and the manifest's
     ``recording`` status marks the bundle unfinished until
-    :meth:`finalize`.
+    :meth:`finalize`. A recording crawl or scan calls it only from its
+    broker, for a completion the queue accepts (see
+    :mod:`repro.bundles.record`).
     """
 
     def __init__(self, path: str, kind: str = "crawl",
                  params: Optional[Dict[str, object]] = None,
-                 sites: Optional[List[str]] = None) -> None:
+                 sites: Optional[List[str]] = None,
+                 telemetry=None) -> None:
         if is_bundle_dir(path):
             raise BundleError(
                 f"refusing to record into {path!r}: it already holds a "
@@ -151,6 +155,10 @@ class BundleWriter:
                      in enumerate(self.manifest["sites"])}
         self._exchanges = 0
         self._closed = False
+        self.telemetry = coalesce(telemetry)
+        #: Digests already in the store: their bodies are not
+        #: compressed again just to be ignored by the insert.
+        self._seen: set = set()
 
     # ------------------------------------------------------------------
     def write_site(self, site: str,
@@ -160,9 +168,10 @@ class BundleWriter:
                    ) -> None:
         """Commit one site's visits atomically.
 
-        Each visit dict carries ``url``, ``success``, ``exchanges``
-        (encoded chains), ``trace`` (encoded records) and ``blobs``
-        (digest -> text of every body the codec externalized).
+        Each visit dict carries ``url``, ``exchanges`` (encoded
+        chains), ``trace`` (encoded records), ``blobs`` (digest -> text
+        of every body the codec externalized) and optionally
+        ``success`` (default true).
         """
         bodies: Dict[str, str] = {}
         rows: List[Tuple[str, int, str, int, str, str]] = []
@@ -181,7 +190,9 @@ class BundleWriter:
                          exchanges_ref, trace_ref))
         front_url = rows[0][2] if rows else site
         with self._lock:
-            self.store.put_many(bodies)
+            self.store.put_many({digest: text for digest, text
+                                 in bodies.items()
+                                 if digest not in self._seen})
             seq = self._seq.get(site)
             if seq is None:
                 seq = len(self._seq)
@@ -202,7 +213,13 @@ class BundleWriter:
                  None if evidence is None
                  else canonical_json(evidence)))
             self._conn.commit()
+            self._seen.update(bodies)
             self._exchanges += exchange_count
+        metrics = self.telemetry.metrics
+        metrics.counter("bundle_sites_recorded").inc()
+        metrics.counter("bundle_visits_recorded").inc(len(rows))
+        self.telemetry.journal.emit("bundle_site_recorded", site=site,
+                                    visits=len(rows))
 
     # ------------------------------------------------------------------
     def import_analysis_cache(self, rows) -> int:

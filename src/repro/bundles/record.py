@@ -1,145 +1,77 @@
-"""Live-crawl recording: visit contexts feeding a bundle writer.
+"""Live-crawl recording: each browser captures, the broker writes.
 
-The recorder hangs off :attr:`repro.net.network.Network.recorder`; the
-hot-path cost when recording is off is a single attribute check per
-fetch. When recording is on, each worker thread's in-flight visit is a
-thread-local buffer — exchanges accumulate as the browser fetches,
-the JS-call trace is attached at visit end, and the whole site is
-committed to the bundle in one transaction when its verdict lands
-(:meth:`finish_site`). A crash mid-site therefore loses only that
-site's buffer; the bundle on disk never holds torn visits, and its
-manifest stays ``status: recording`` so replay refuses it cleanly.
+A recording browser carries a :class:`BundleCapture`
+(``Browser.capture``; ``None`` when not recording, so the hot-path
+cost is one attribute check per fetch). Its two ``network.fetch`` call
+sites feed every fetch's hop chain in; the crawl or scan attempt adds
+each visit's JS-call trace and the site's verdict, and returns
+:meth:`BundleCapture.record` in its resolution, beside its envelope or
+evidence. A process worker ships it over its pipe like any other
+resolution field, so recording works in every pool mode.
+
+Nothing is written during the attempt. The broker — the crawl's
+``TaskManager.settle_visit`` or the scan's ``ScanBroker`` — hands a
+standing completion's record to
+:meth:`~repro.bundles.bundle.BundleWriter.write_site` inside the queue
+transition, and drops the capture of a voided, retried or failed
+attempt. The bundle therefore holds exactly the sites the queue
+completed, whole; its manifest stays ``status: recording`` until the
+run finalizes it, so replay refuses a crash-torn archive.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
-from repro.bundles.bundle import BundleWriter
-from repro.bundles.codec import encode_hops, encode_trace
+from repro.bundles.codec import (
+    classification_to_dict,
+    encode_hops,
+    encode_trace,
+)
 from repro.corpus.store import script_hash
-from repro.obs.telemetry import coalesce
 
 
-class BundleRecorder:
-    """Records visits into an execution bundle during a normal crawl."""
+class BundleCapture:
+    """What one browser's visits to one site give its bundle."""
 
-    def __init__(self, path: str, kind: str = "crawl",
-                 params: Optional[Dict[str, object]] = None,
-                 sites: Optional[List[str]] = None,
-                 telemetry=None) -> None:
-        self.writer = BundleWriter(path, kind=kind, params=params,
-                                   sites=sites)
-        self.telemetry = coalesce(telemetry)
-        self._tl = threading.local()
-        #: Digests already persisted — lets on_fetch skip re-buffering
-        #: bodies the bundle holds (reads under the writer lock).
-        self._seen = set()
-        self._seen_lock = threading.Lock()
+    def __init__(self) -> None:
+        #: One dict per visit, in :meth:`BundleWriter.write_site`'s
+        #: shape; an attempt that fails mid-visit is dropped whole.
+        self.visits: List[Dict[str, object]] = []
+        self.verdict: Optional[Dict[str, object]] = None
+        self.evidence: Optional[List[Dict[str, object]]] = None
 
-    @property
-    def path(self) -> str:
-        return self.writer.path
+    def begin_visit(self, url: str) -> None:
+        self.visits.append({"url": url, "exchanges": [], "blobs": {},
+                            "trace": []})
 
-    # ------------------------------------------------------------------
-    # Visit lifecycle (called by the scan pipeline / task manager)
-    # ------------------------------------------------------------------
-    def begin_visit(self, site: str, url: str) -> None:
-        tl = self._tl
-        if getattr(tl, "site", None) != site:
-            tl.site = site
-            tl.visits = []
-        tl.current = {"url": url, "exchanges": [], "blobs": {},
-                      "trace": [], "success": True}
-
-    def on_fetch(self, request, hops) -> None:
-        """Archive one fetch's full hop chain (network hot path)."""
-        current = getattr(self._tl, "current", None)
-        if current is None:
-            return
-        blobs = current["blobs"]
+    def on_fetch(self, hops) -> None:
+        """Archive one fetch's full hop chain, bodies by content
+        address."""
+        visit = self.visits[-1]
+        blobs = visit["blobs"]
 
         def put(text: str) -> str:
             digest = script_hash(text)
-            with self._seen_lock:
-                seen = digest in self._seen
-            if not seen:
-                blobs[digest] = text
+            blobs[digest] = text
             return digest
 
-        current["exchanges"].append({"hops": encode_hops(hops, put)})
+        visit["exchanges"].append({"hops": encode_hops(hops, put)})
 
-    def end_visit(self, trace=None, success: bool = True) -> None:
-        tl = self._tl
-        current = getattr(tl, "current", None)
-        if current is None:
-            return
-        current["trace"] = encode_trace(trace or [])
-        current["success"] = bool(success)
-        tl.visits.append(current)
-        tl.current = None
-        self.telemetry.metrics.counter("bundle_visits_recorded").inc()
-        self.telemetry.journal.emit(
-            "bundle_visit_recorded", site=tl.site, url=current["url"],
-            exchanges=len(current["exchanges"]))
+    def end_visit(self, trace) -> None:
+        self.visits[-1]["trace"] = encode_trace(trace)
 
-    def abandon_visit(self) -> None:
-        """Drop the in-flight visit buffer (crashed/aborted attempt)."""
-        self._tl.current = None
+    def classify(self, front, combined, evidence) -> None:
+        """Attach a scanned site's front-page and combined
+        classifications and its raw evidence as the verdict."""
+        from repro.core.scan.results_store import evidence_to_dict
 
-    def abandon_site(self) -> None:
-        """Drop everything buffered for this thread's current site."""
-        tl = self._tl
-        tl.current = None
-        tl.visits = []
-        tl.site = None
+        self.verdict = {"front": classification_to_dict(front),
+                        "combined": classification_to_dict(combined)}
+        self.evidence = [evidence_to_dict(item) for item in evidence]
 
-    # ------------------------------------------------------------------
-    def finish_site(self, site: str, front=None, combined=None,
-                    evidence=None,
-                    verdict: Optional[Dict[str, object]] = None) -> None:
-        """Commit the site's buffered visits plus its verdict.
-
-        Scan callers pass the ``front``/``combined`` classifications
-        and the raw evidence list; crawl callers pass a plain
-        ``verdict`` dict. Serialization happens here so neither
-        pipeline needs to import bundle internals.
-        """
-        tl = self._tl
-        visits = tl.visits if getattr(tl, "site", None) == site \
-            else []
-        if verdict is None and (front is not None
-                                or combined is not None):
-            from repro.bundles.codec import classification_to_dict
-
-            verdict = {}
-            if front is not None:
-                verdict["front"] = classification_to_dict(front)
-            if combined is not None:
-                verdict["combined"] = classification_to_dict(combined)
-        evidence_payload = None
-        if evidence is not None:
-            from repro.core.scan.results_store import evidence_to_dict
-
-            evidence_payload = [evidence_to_dict(item)
-                                for item in evidence]
-        self.writer.write_site(site, visits, verdict=verdict,
-                               evidence=evidence_payload)
-        with self._seen_lock:
-            for visit in visits:
-                self._seen.update(visit["blobs"])
-        tl.visits = []
-        tl.site = None
-        tl.current = None
-        self.telemetry.metrics.counter("bundle_sites_recorded").inc()
-        self.telemetry.journal.emit("bundle_site_recorded", site=site,
-                                    visits=len(visits))
-
-    # ------------------------------------------------------------------
-    def absorb_analysis(self, rows) -> int:
-        """Archive a scan corpus's memoized static-analysis verdicts."""
-        return self.writer.import_analysis_cache(rows)
-
-    def close(self, complete: bool = True) -> None:
-        self.writer.finalize(complete=complete)
+    def record(self) -> Dict[str, object]:
+        """The keyword arguments of ``BundleWriter.write_site``, bar
+        the site."""
+        return {"visits": self.visits, "verdict": self.verdict,
+                "evidence": self.evidence}

@@ -8,8 +8,12 @@ and detector pipeline unmodified; only the web underneath is swapped
 for the archive. Since the synthetic web serves content as a pure
 function of (world, domain, seed), an unchanged pipeline replayed over
 an unchanged bundle reproduces byte-identical verdicts and tables —
-at any worker count, because visit cursors are thread-local and each
-site replays independently.
+at any worker count, because each site replays independently: visit
+cursors are thread-local, and a worker process opens its own
+``ReplayNetwork`` over the bundle directory. Replaying does not
+record; a browser that re-records the replay captures what this
+network serves exactly as it would a live one's
+(:mod:`repro.bundles.record`).
 
 A fetch with no archived answer is a *replay miss*: it returns 404,
 counts ``bundle_replay_misses``, and journals the divergence — it
@@ -43,7 +47,7 @@ class ReplayNetwork(Network):
         self.replay_hits = 0
 
     # ------------------------------------------------------------------
-    # Visit scoping (same protocol as BundleRecorder)
+    # Visit scoping: the crawl and scan position a visit's cursor
     # ------------------------------------------------------------------
     def begin_visit(self, site: str, url: str) -> None:
         tl = self._tl
@@ -104,18 +108,16 @@ class ReplayNetwork(Network):
                                          request)
         if self.record_exchanges:
             self.log.extend(hops)
-        if self.recorder is not None:
-            self.recorder.on_fetch(request, hops)
         return response, hops
 
 
 class ReplayWeb:
     """The minimal web facade a replay scan needs.
 
-    Mirrors the two attributes :class:`ScanPipeline` reads from
-    :class:`SyntheticWeb` — ``network`` and ``configs`` — plus the
-    bundle itself so the pipeline can seed its corpus caches from the
-    archive.
+    Mirrors the attributes :class:`ScanPipeline` reads from
+    :class:`SyntheticWeb` — ``network``, ``configs`` and
+    ``site_count`` — plus the bundle itself so the pipeline can seed
+    its corpus caches from the archive.
     """
 
     def __init__(self, bundle: Bundle, telemetry=None) -> None:
@@ -123,6 +125,7 @@ class ReplayWeb:
         self.network = ReplayNetwork(bundle, telemetry=telemetry)
         self.configs = [SimpleNamespace(domain=site)
                         for site in bundle.sites()]
+        self.site_count = len(self.configs)
 
     def front_urls(self, n: Optional[int] = None) -> List[str]:
         sites = self.bundle.sites()

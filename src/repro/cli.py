@@ -81,12 +81,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                   "(pass --queue); worker processes cannot share an "
                   "in-memory queue", file=sys.stderr)
             return 2
-        if args.record is not None or args.replay is not None:
-            print("error: --worker-procs cannot be combined with "
-                  "--record/--replay (bundle hooks live on the "
-                  "coordinator's network, which worker processes "
-                  "never touch)", file=sys.stderr)
-            return 2
     if args.record is not None and args.resume:
         print("error: --record archives one complete scan; it cannot "
               "be combined with --resume", file=sys.stderr)
@@ -128,10 +122,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         web = build_world(site_count=args.sites, seed=args.seed)
     recorder = None
     if args.record is not None:
-        from repro.bundles import BundleError, BundleRecorder
+        from repro.bundles import BundleError, BundleWriter
 
         try:
-            recorder = BundleRecorder(
+            recorder = BundleWriter(
                 args.record, kind="scan",
                 params={"sites": args.sites, "seed": args.seed,
                         "front_only": bool(args.front_only),
@@ -147,7 +141,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                            worker_procs=args.worker_procs,
                            world_seed=args.seed)
     if recorder is not None:
-        recorder.close(
+        recorder.finalize(
             complete=dataset.visited_sites >= len(web.configs))
     print(json.dumps(_scan_output(dataset), indent=2))
     return 0
@@ -388,16 +382,9 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.worker_procs is not None:
-        if args.worker_procs < 1:
-            print("error: --worker-procs must be >= 1", file=sys.stderr)
-            return 2
-        if args.record is not None or args.replay is not None:
-            print("error: --worker-procs cannot be combined with "
-                  "--record/--replay (bundle hooks live on the "
-                  "coordinator's network, which worker processes "
-                  "never touch)", file=sys.stderr)
-            return 2
+    if args.worker_procs is not None and args.worker_procs < 1:
+        print("error: --worker-procs must be >= 1", file=sys.stderr)
+        return 2
     if args.record is not None and args.resume:
         print("error: --record archives one complete crawl; it cannot "
               "be combined with --resume", file=sys.stderr)
@@ -497,13 +484,16 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             "drained": report.drained,
         }
         if args.record is not None:
-            payload["bundle"] = result.recorder.writer.manifest.get(
+            payload["bundle"] = result.recorder.manifest.get(
                 "counts") if result.recorder is not None else None
             payload["record"] = args.record
         if args.replay is not None:
             payload["replay"] = args.replay
-            network = result.manager.network
-            payload["replay_misses"] = network.replay_misses
+            # Counted wherever the fetch ran: a worker process's
+            # metrics merge into this telemetry.
+            payload["replay_misses"] = int(
+                result.telemetry.metrics.counter_value(
+                    "bundle_replay_misses"))
         if result.profiler is not None:
             payload["hot_scripts"] = result.profiler.hot_scripts(5)
         if args.json:

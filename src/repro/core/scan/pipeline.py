@@ -260,11 +260,12 @@ class ScanPipeline:
         self.client_id = client_id
         self.seed = seed
         self.telemetry = coalesce(telemetry)
-        #: Optional :class:`repro.bundles.BundleRecorder` archiving
-        #: every visit into an execution bundle.
+        #: Optional :class:`repro.bundles.BundleWriter` the
+        #: :class:`ScanBroker` archives every completed site into.
         self.recorder = recorder
-        if recorder is not None:
-            web.network.recorder = recorder
+        #: Capture each site's execution-bundle data on its browser;
+        #: the attempt's resolution carries it as ``bundle``.
+        self.capture_bundles = recorder is not None
         self.dwell = dwell
         self.max_subpages = max_subpages
         #: The content-addressed script store of the last run().
@@ -289,9 +290,9 @@ class ScanPipeline:
         instead (:mod:`repro.sched.procpool`); each rebuilds the
         synthetic world from ``(site_count, world_seed)`` and ships
         each attempt's resolution back to this process's
-        :class:`ScanBroker`. Requires a file-backed ``queue_path``;
-        incompatible with ``workers`` and with a bundle recorder/replay
-        (their hooks attach to this process's network object).
+        :class:`ScanBroker` — or, replaying, opens the bundle
+        directory itself. Requires a file-backed ``queue_path``;
+        incompatible with ``workers``.
 
         Each site is visited with a fresh per-site browser identity
         (see :meth:`_site_browser`), so the collected script corpus
@@ -326,26 +327,12 @@ class ScanPipeline:
                 raise ValueError(
                     "worker_procs requires a file-backed queue (worker "
                     "processes cannot share an in-memory queue)")
-            if self.recorder is not None \
-                    or getattr(self.web, "bundle", None) is not None:
-                raise ValueError(
-                    "worker_procs cannot record or replay bundles: "
-                    "the bundle hooks attach to the coordinator's "
-                    "network, which worker processes never touch")
         corpus = ScriptCorpus(corpus_path_for(queue_path))
         if not resume:
             corpus.clear()
         self.corpus = corpus
-        bundle = getattr(self.web, "bundle", None)
-        if bundle is not None:
-            # Replaying from an archive: seed this run's memoized
-            # static-analysis verdicts from the bundle (keyed by
-            # pattern-set version, so stale rows simply never match)
-            # and warm the AST cache for every archived script.
-            rows = bundle.store.export_analysis_cache()
-            if rows:
-                corpus.import_analysis_cache(rows)
-                bundle.store.precompile(sorted({row[0] for row in rows}))
+        if worker_procs is None:
+            self.seed_from_bundle(corpus)
         dataset = ScanDataset(corpus=corpus)
         configs = self.web.configs if site_limit is None \
             else self.web.configs[:site_limit]
@@ -371,49 +358,53 @@ class ScanPipeline:
             # shared with a still-pending site skips parse+compile.
             corpus.precompile()
         broker = ScanBroker(scheduler.queue, self.telemetry, corpus,
-                            store, dataset)
+                            store, dataset, recorder=self.recorder)
+        try:
+            if worker_procs is not None:
+                from repro.sched.procpool import run_process_scan
 
-        if worker_procs is not None:
-            from repro.sched.procpool import (
-                DEFAULT_HEARTBEAT_DEADLINE,
-                DEFAULT_RESPAWN_LIMIT,
-                run_process_scan,
-            )
-
-            try:
                 run_process_scan(
                     self, scheduler, broker,
                     queue_path=queue_path, worker_procs=worker_procs,
                     world_seed=world_seed,
                     visit_subpages=visit_subpages,
                     fault_plan=fault_plan, journal_dir=journal_dir,
-                    heartbeat_deadline=heartbeat_deadline
-                    if heartbeat_deadline is not None
-                    else DEFAULT_HEARTBEAT_DEADLINE,
-                    respawn_limit=respawn_limit
-                    if respawn_limit is not None
-                    else DEFAULT_RESPAWN_LIMIT)
-            finally:
-                scheduler.close()
-                store.close()
-            return dataset
+                    heartbeat_deadline=heartbeat_deadline,
+                    respawn_limit=respawn_limit)
+            else:
+                from repro.jsengine.interpreter import (
+                    export_cache_metrics,
+                )
 
-        try:
-            scheduler.run(
-                lambda job, index: self.scan_job(job.site_url, corpus,
-                                                 visit_subpages),
-                workers=workers, broker=broker)
+                try:
+                    scheduler.run(
+                        lambda job, index: self.scan_job(
+                            job.site_url, corpus, visit_subpages),
+                        workers=workers, broker=broker)
+                finally:
+                    export_cache_metrics(self.telemetry.metrics)
             if self.recorder is not None:
                 # Archive the memoized analysis verdicts so replay can
                 # seed its own cache without re-scanning sources.
-                self.recorder.absorb_analysis(
+                self.recorder.import_analysis_cache(
                     corpus.export_analysis_cache())
         finally:
-            from repro.jsengine.interpreter import export_cache_metrics
-            export_cache_metrics(self.telemetry.metrics)
             scheduler.close()
             store.close()
         return dataset
+
+    def seed_from_bundle(self, corpus: ScriptCorpus) -> None:
+        """Replaying from an archive: seed *corpus*'s memoized
+        static-analysis verdicts from the bundle (keyed by pattern-set
+        version, so stale rows simply never match) and warm the AST
+        cache for every archived script."""
+        bundle = getattr(self.web, "bundle", None)
+        if bundle is None:
+            return
+        rows = bundle.store.export_analysis_cache()
+        if rows:
+            corpus.import_analysis_cache(rows)
+            bundle.store.precompile(sorted({row[0] for row in rows}))
 
     def _restore_completed(self, scheduler, store, configs,
                            dataset: ScanDataset) -> None:
@@ -482,6 +473,10 @@ class ScanPipeline:
                           self.web.network,
                           client_id=f"{self.client_id}:{domain}",
                           extension=extension, seed=site_seed)
+        if self.capture_bundles:
+            from repro.bundles import BundleCapture
+
+            browser.capture = BundleCapture()
         return browser, extension
 
     def scan_job(self, domain: str, corpus: ScriptCorpus,
@@ -496,24 +491,28 @@ class ScanPipeline:
         evidence once the queue accepts the completion. With
         ``ship_sources`` (a worker process, whose *corpus* is its own)
         it also carries the ``bodies`` and ``analysis`` cache rows of
-        the scripts it saw. A failed attempt is sent back for retry.
+        the scripts it saw, and with ``capture_bundles`` the site's
+        bundle capture. A failed attempt is sent back for retry, its
+        capture dropped with its browser.
         """
         batch = corpus.site_batch(domain)
+        browser, extension = self._site_browser(domain)
         try:
             evidences, front, combined = self._scan_site(
-                domain, visit_subpages, batch)
+                domain, visit_subpages, batch, browser, extension)
         except BaseException as exc:
             abandon = getattr(self.web.network, "abandon_site", None)
             if abandon is not None:
                 abandon()
-            if self.recorder is not None:
-                self.recorder.abandon_site()
             if not isinstance(exc, Exception):
                 raise
             return {"kind": RETRY, "error": repr(exc)}
         resolution = {"kind": COMPLETE, "error": "",
                       "evidences": evidences, "front": front,
                       "combined": combined}
+        if browser.capture is not None:
+            browser.capture.classify(front, combined, evidences)
+            resolution["bundle"] = browser.capture.record()
         if ship_sources:
             digests = {digest for evidence in evidences
                        for _, digest in evidence.scripts}
@@ -525,31 +524,26 @@ class ScanPipeline:
         return resolution
 
     def _scan_site(self, domain: str, visit_subpages: bool,
-                   batch: SiteBatch
+                   batch: SiteBatch, browser: Browser,
+                   extension: ScanExtension
                    ) -> Tuple[List[VisitEvidence], SiteClassification,
                               SiteClassification]:
         tm = self.telemetry
         corpus = batch.corpus
-        browser, extension = self._site_browser(domain)
         with tm.tracer.span("scan_site", domain=domain) as site_span:
             front_evidence = self._visit(f"https://www.{domain}/",
-                                         browser, extension, batch,
-                                         domain)
+                                         browser, extension, batch)
             evidences = [front_evidence]
             front_classification = classify_site(domain, [front_evidence],
                                                  corpus=corpus)
             if visit_subpages:
                 for link in self._select_subpages(front_evidence, browser):
                     evidences.append(self._visit(link, browser,
-                                                 extension, batch, domain))
+                                                 extension, batch))
                     tm.metrics.counter("scan_subpage_visits").inc()
             with tm.stage("classify"):
                 classification = classify_site(domain, evidences,
                                                corpus=corpus)
-            if self.recorder is not None:
-                self.recorder.finish_site(
-                    domain, front=front_classification,
-                    combined=classification, evidence=evidences)
             tm.metrics.counter("scan_sites_visited").inc()
             outcome = "identified" if classification.identified_union \
                 else "negative"
@@ -563,16 +557,16 @@ class ScanPipeline:
 
     # ------------------------------------------------------------------
     def _visit(self, url: str, browser: Browser,
-               extension: ScanExtension, batch: SiteBatch,
-               site: str) -> VisitEvidence:
+               extension: ScanExtension, batch: SiteBatch
+               ) -> VisitEvidence:
         extension.clear_records()
-        # Replay transport first (positions its visit cursor), then
-        # the recorder (opens this visit's archive buffer).
+        # A replay transport positions its visit cursor; a capturing
+        # browser opens this visit's capture.
         begin = getattr(self.web.network, "begin_visit", None)
         if begin is not None:
-            begin(site, url)
-        if self.recorder is not None:
-            self.recorder.begin_visit(site, url)
+            begin(batch.site, url)
+        if browser.capture is not None:
+            browser.capture.begin_visit(url)
         with self.telemetry.stage("scan_visit"):
             browser.visit(url, wait=self.dwell)
         evidence = VisitEvidence(page_url=url)
@@ -592,10 +586,10 @@ class ScanPipeline:
         end = getattr(self.web.network, "end_visit", None)
         if end is not None:
             end()
-        if self.recorder is not None:
-            trace = list(extension.js_instrument.records) \
-                if extension.js_instrument is not None else []
-            self.recorder.end_visit(trace=trace)
+        if browser.capture is not None:
+            browser.capture.end_visit(extension.js_instrument.records
+                                      if extension.js_instrument
+                                      is not None else [])
         return evidence
 
     def _select_subpages(self, evidence: VisitEvidence,
@@ -627,19 +621,21 @@ class ScanBroker(Broker):
 
     Inline, thread and process scans all hand it :meth:`ScanPipeline.scan_job`
     resolutions. Inside the queue transition it lands a completed
-    site's occurrence rows (one corpus transaction) and then its
-    evidence, so "completed in the queue" always implies both are on
-    disk; once the completion has committed it folds the attempt's own
-    classifications into the dataset. A voided or failed attempt
-    touches none of them.
+    site's occurrence rows (one corpus transaction), then its
+    evidence, then — recording — its bundle site, so "completed in the
+    queue" always implies all are on disk; once the completion has
+    committed it folds the attempt's own classifications into the
+    dataset. A voided or failed attempt touches none of them.
     """
 
     def __init__(self, queue, telemetry, corpus: ScriptCorpus, store,
-                 dataset: ScanDataset) -> None:
+                 dataset: ScanDataset, recorder=None) -> None:
         super().__init__(queue, telemetry)
         self.corpus = corpus
         self.store = store
         self.dataset = dataset
+        #: Optional :class:`repro.bundles.BundleWriter`.
+        self.recorder = recorder
 
     def _stage(self, message, state):
         if state != COMPLETED:
@@ -650,6 +646,8 @@ class ScanBroker(Broker):
             evidences, message.get("bodies"), message.get("analysis", ()))
         try:
             self.store.save(site, evidences)
+            if self.recorder is not None and "bundle" in message:
+                self.recorder.write_site(site, **message["bundle"])
         except Exception:
             self.corpus.retract_site(site)
             raise

@@ -72,10 +72,6 @@ class Network:
         #: (choke point ``network.fetch``): connection resets, slow
         #: responses, truncated bodies.
         self.fault_plan: Optional[Any] = None
-        #: Optional :class:`repro.bundles.BundleRecorder`. When set,
-        #: every completed fetch's hop chain is archived; when unset
-        #: the recording cost is this one attribute check.
-        self.recorder: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def register_host(self, host: str, server: Server) -> None:
@@ -139,8 +135,6 @@ class Network:
             if self.record_exchanges:
                 self.log.append(record)
             if not response.is_redirect:
-                if self.recorder is not None:
-                    self.recorder.on_fetch(request, hops)
                 return response, hops
             target = URL.parse(response.location, base=current.url)
             current = HttpRequest(
@@ -153,6 +147,4 @@ class Network:
             )
         response = HttpResponse(status=508, content_type="text/plain",
                                 body="redirect loop")
-        if self.recorder is not None:
-            self.recorder.on_fetch(request, hops)
         return response, hops

@@ -40,8 +40,9 @@ class TelemetryCrawlResult:
     journal: Any = NULL_JOURNAL
     #: The JS-engine profiler, when profiling was requested.
     profiler: Optional[ScriptProfiler] = None
-    #: The bundle recorder, when ``record_dir`` was given (already
-    #: finalized by the runner; kept for inspection).
+    #: The :class:`~repro.bundles.BundleWriter`, when ``record_dir``
+    #: was given (already finalized by the runner; kept for
+    #: inspection).
     recorder: Optional[Any] = None
     #: The source bundle, when this crawl replayed one.
     bundle: Optional[Any] = None
@@ -113,9 +114,8 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
     this process's storage broker, under the heartbeat → SIGKILL →
     respawn → shrink supervision ladder tuned by
     ``heartbeat_seconds`` / ``heartbeat_deadline`` /
-    ``respawn_limit`` / ``respawn_backoff``. Mutually exclusive with
-    ``workers`` and with record/replay (bundle hooks live on the
-    coordinator's network object, which workers never touch).
+    ``respawn_limit`` / ``respawn_backoff`` (``None`` takes the pool's
+    defaults). Mutually exclusive with ``workers``.
 
     ``fault_plan`` / ``stage_deadline`` / ``quarantine_after`` /
     ``crash_loop_threshold`` wire the fault-injection plan and its
@@ -132,17 +132,12 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
     bundle instead of a live web (``urls``/``site_count`` are then
     taken from the bundle). The two compose: replaying with
     ``record_dir`` set re-records the replay, which is how ``repro
-    fidelity`` gets its comparison bundle.
+    fidelity`` gets its comparison bundle. Both work in every pool
+    mode: the broker writes each completed site's bundle capture
+    inside its queue transition, as it lands the site's rows.
     """
-    if worker_procs is not None:
-        if workers is not None:
-            raise ValueError(
-                "workers and worker_procs are mutually exclusive")
-        if record_dir is not None or replay_dir is not None:
-            raise ValueError(
-                "worker_procs cannot record or replay bundles: the "
-                "bundle hooks attach to the coordinator's network, "
-                "which worker processes never touch")
+    if worker_procs is not None and workers is not None:
+        raise ValueError("workers and worker_procs are mutually exclusive")
     telemetry = telemetry if telemetry is not None else Telemetry()
     journal: Any = NULL_JOURNAL
     if journal_dir is not None and telemetry.enabled:
@@ -180,16 +175,15 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
 
     recorder = None
     if record_dir is not None:
-        from repro.bundles import BundleRecorder
+        from repro.bundles import BundleWriter
 
-        recorder = BundleRecorder(
+        recorder = BundleWriter(
             record_dir, kind="crawl",
             params={"site_count": site_count, "seed": seed,
                     "browsers": browsers, "dwell": dwell,
                     "js_instrument": js_instrument, "web": web,
                     "replay_of": replay_dir},
             sites=urls, telemetry=telemetry)
-        network.recorder = recorder
 
     # A scheduled crawl runs browser 0 in every worker slot, as each
     # --worker-procs worker does: which worker visited a site is
@@ -210,19 +204,18 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
          for i in slots],
         network, telemetry=telemetry)
     manager.recorder = recorder
+    manager.capture_bundles = recorder is not None
     report = None
     results: List[object] = []
+    if resume and telemetry.enabled:
+        # Carry the previous runs' persisted counters forward so the
+        # final snapshot stays cumulative over the whole database —
+        # otherwise a resumed crawl's books can never balance.
+        telemetry.metrics.restore(manager.storage.telemetry_metrics())
     try:
         if worker_procs is not None:
-            from repro.sched.procpool import (
-                DEFAULT_HEARTBEAT_DEADLINE,
-                DEFAULT_RESPAWN_LIMIT,
-                run_process_crawl,
-            )
+            from repro.sched.procpool import run_process_crawl
 
-            if resume and telemetry.enabled:
-                telemetry.metrics.restore(
-                    manager.storage.telemetry_metrics())
             report = run_process_crawl(
                 manager, urls, queue_path=queue_path,
                 worker_procs=worker_procs, web=web,
@@ -231,23 +224,12 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
                 max_attempts=max_attempts,
                 lease_seconds=lease_seconds, journal_dir=journal_dir,
                 heartbeat_seconds=heartbeat_seconds,
-                heartbeat_deadline=heartbeat_deadline
-                if heartbeat_deadline is not None
-                else DEFAULT_HEARTBEAT_DEADLINE,
-                respawn_limit=respawn_limit
-                if respawn_limit is not None
-                else DEFAULT_RESPAWN_LIMIT,
+                heartbeat_deadline=heartbeat_deadline,
+                respawn_limit=respawn_limit,
                 respawn_backoff=respawn_backoff)
         elif workers is None:
             results = manager.crawl(urls)
         else:
-            if resume and telemetry.enabled:
-                # Carry the previous runs' persisted counters forward
-                # so the final snapshot stays cumulative over the whole
-                # database — otherwise a resumed crawl's books can
-                # never balance.
-                telemetry.metrics.restore(
-                    manager.storage.telemetry_metrics())
             report = manager.crawl_scheduled(
                 urls, workers=workers, queue_path=queue_path,
                 resume=resume, stop_after_jobs=stop_after_jobs,
@@ -265,8 +247,8 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
         # were archived; anything less stays ``status: recording`` and
         # replay refuses it with the missing sites named.
         drained = report.drained if report is not None else True
-        recorder.close(complete=bool(drained)
-                       and not manager.failed_sites)
+        recorder.finalize(complete=bool(drained)
+                          and not manager.failed_sites)
     journal.flush()
     # Snapshot now (close() would too, but callers report before closing).
     manager.storage.persist_telemetry(telemetry.snapshot())

@@ -177,9 +177,11 @@ class TaskManager:
         self._next_slot = 0
         self.failed_sites: List[str] = []
         self._failed_sites_lock = threading.Lock()
-        #: Optional :class:`repro.bundles.BundleRecorder`; when set,
-        #: every visit is archived into an execution bundle (the
-        #: network-side hook is installed by the crawl runner).
+        #: Capture each visit's execution-bundle data on its browser;
+        #: the attempt's resolution carries it as ``bundle``.
+        self.capture_bundles = False
+        #: Optional :class:`repro.bundles.BundleWriter`:
+        #: :meth:`settle_visit` writes each completed site's capture.
         self.recorder: Optional[Any] = None
 
         self.fault_plan = self._build_fault_plan()
@@ -355,7 +357,9 @@ class TaskManager:
         envelope). The rules are :func:`visit_ledger_ops`; this applies
         them, landing a standing verdict's envelope — and the ledger
         row its verdict adds — in one crawl-database transaction, or
-        dropping a voided one. Nothing written is ever taken back.
+        dropping a voided one. A completion's bundle capture is then
+        written to ``recorder``, the only place a crawl writes a bundle
+        site. Nothing written is ever taken back.
         """
         url = message["site_url"]
         ledger = message.get("ledger", {})
@@ -379,6 +383,9 @@ class TaskManager:
                 message.get("visits", []), message.get("content", []),
                 {"crash_history": ledger.get("crash_history", []),
                  "failed_visits": failed, "quarantined_sites": quarantine})
+            if state == COMPLETED and self.recorder is not None \
+                    and "bundle" in message:
+                self.recorder.write_site(url, **message["bundle"])
             if GIVE_UP in ops:
                 self._book_given_up(url, message["attempts"], ops[GIVE_UP])
             if QUARANTINE in ops and landed:
@@ -455,11 +462,15 @@ class TaskManager:
 
     def _resolution(self, slot: ManagedBrowser, url: str, kind: str,
                     error: str) -> Dict[str, Any]:
-        return {"kind": kind, "error": error, "site_url": url,
-                "browser_id": slot.browser_id,
-                "quarantined": self.is_quarantined(url),
-                "failures": self._failures(url),
-                **slot.store.take_envelope()}
+        resolution = {"kind": kind, "error": error, "site_url": url,
+                      "browser_id": slot.browser_id,
+                      "quarantined": self.is_quarantined(url),
+                      "failures": self._failures(url),
+                      **slot.store.take_envelope()}
+        capture, slot.browser.capture = slot.browser.capture, None
+        if capture is not None:
+            resolution["bundle"] = capture.record()
+        return resolution
 
     # ------------------------------------------------------------------
     def get(self, url: str,
@@ -567,7 +578,7 @@ class TaskManager:
                                     sequence.url)
                     with tm.stage("storage_commit"):
                         store.end_visit()
-                    self._bundle_commit(slot, sequence.url, attempts)
+                    self._bundle_commit(slot, attempts)
                     journal.emit("visit_complete", url=sequence.url,
                                  attempts=attempts,
                                  visit_id=context.visit_id)
@@ -645,38 +656,40 @@ class TaskManager:
             return None
 
     # ------------------------------------------------------------------
-    # Execution-bundle hooks (record and replay share the protocol;
-    # each crawl site is its own bundle site keyed by URL)
+    # Execution-bundle hooks: a replay network positions its visit
+    # cursor; a capturing slot's browser captures the attempt, which
+    # only a completed visit hands on (each crawl site is its own
+    # bundle site keyed by URL)
     # ------------------------------------------------------------------
     def _bundle_begin(self, slot: ManagedBrowser, url: str) -> None:
         begin = getattr(self.network, "begin_visit", None)
         if begin is not None:
             begin(url, url)
-        if self.recorder is not None:
-            self.recorder.begin_visit(url, url)
+        if self.capture_bundles:
+            from repro.bundles import BundleCapture
+
+            slot.browser.capture = BundleCapture()
+            slot.browser.capture.begin_visit(url)
             instrument = slot.extension.js_instrument
             slot.bundle_trace_mark = len(instrument.records) \
                 if instrument is not None else 0
 
-    def _bundle_commit(self, slot: ManagedBrowser, url: str,
-                       attempts: int) -> None:
+    def _bundle_commit(self, slot: ManagedBrowser, attempts: int) -> None:
         end = getattr(self.network, "end_visit", None)
         if end is not None:
             end()
-        if self.recorder is not None:
+        capture = slot.browser.capture
+        if capture is not None:
             instrument = slot.extension.js_instrument
-            trace = list(instrument.records[slot.bundle_trace_mark:]) \
-                if instrument is not None else []
-            self.recorder.end_visit(trace=trace)
-            self.recorder.finish_site(
-                url, verdict={"success": True, "attempts": attempts})
+            capture.end_visit(instrument.records[slot.bundle_trace_mark:]
+                              if instrument is not None else [])
+            capture.verdict = {"success": True, "attempts": attempts}
 
     def _bundle_abandon(self, slot: ManagedBrowser) -> None:
         abandon = getattr(self.network, "abandon_visit", None)
         if abandon is not None:
             abandon()
-        if self.recorder is not None:
-            self.recorder.abandon_visit()
+        slot.browser.capture = None
 
     def _interact(self, slot: ManagedBrowser, result) -> None:
         """Run the configured interaction driver on the loaded page.

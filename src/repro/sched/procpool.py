@@ -20,6 +20,10 @@ thread (and the GIL) forever. This module gives the watchdog teeth:
   script bodies it saw, to the
   :class:`~repro.core.scan.pipeline.ScanBroker` an inline or thread
   scan settles through too;
+* record and replay work as in-process: a recording worker's browser
+  captures each attempt's execution-bundle data, which travels in the
+  resolution for the broker to write, and a replaying worker opens the
+  bundle directory named in its :class:`WorkerSpec` itself;
 * the broker applies *final* job resolutions in strict job-id order, so
   a clean N-process crawl lands byte-identical visit ids and row order
   to the 1-worker inline path;
@@ -112,6 +116,10 @@ class WorkerSpec:
     #: coordinator's stop broadcast races fire-and-forget workers, so
     #: the budget is what makes ``stop_after_jobs`` deterministic).
     claim_budget: Optional[int] = None
+    #: Replay source: the worker serves every fetch from this bundle.
+    bundle_path: Optional[str] = None
+    #: Capture each attempt's execution-bundle data for the broker.
+    capture_bundles: bool = False
     # scan:
     scan_client_id: str = "scan-client"
     scan_dwell: float = 60.0
@@ -373,7 +381,12 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
                       journal: Any) -> None:
     from repro.openwpm.task_manager import TaskManager
 
-    if spec.web == "tranco":
+    if spec.bundle_path is not None:
+        from repro.bundles import Bundle, ReplayNetwork
+
+        network = ReplayNetwork(Bundle(spec.bundle_path),
+                                telemetry=telemetry)
+    elif spec.web == "tranco":
         from repro.web import build_world
 
         network = build_world(site_count=spec.site_count,
@@ -388,6 +401,7 @@ def _run_crawl_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
         replace(spec.manager_params, num_browsers=1,
                 database_path=":memory:", fault_plan=plan),
         [spec.browser_params], network, telemetry=telemetry)
+    manager.capture_bundles = spec.capture_bundles
     faults = _ProcFaults(manager.fault_plan, conn, journal)
     faults.install_reporting()
     slot = manager.browsers[0]
@@ -413,17 +427,26 @@ def _run_scan_worker(spec: WorkerSpec, conn: Any, telemetry: Telemetry,
     from repro.core.scan.pipeline import ScanPipeline
     from repro.corpus import ScriptCorpus
     from repro.jsengine.interpreter import export_cache_metrics
-    from repro.web import build_world
 
-    web = build_world(site_count=spec.site_count, seed=spec.world_seed)
+    if spec.bundle_path is not None:
+        from repro.bundles import Bundle, ReplayWeb
+
+        web = ReplayWeb(Bundle(spec.bundle_path), telemetry=telemetry)
+    else:
+        from repro.web import build_world
+
+        web = build_world(site_count=spec.site_count,
+                          seed=spec.world_seed)
     pipeline = ScanPipeline(web, client_id=spec.scan_client_id,
                             seed=spec.seed, dwell=spec.scan_dwell,
                             max_subpages=spec.scan_max_subpages,
                             telemetry=telemetry)
+    pipeline.capture_bundles = spec.capture_bundles
     plan = _build_worker_plan(spec)
     faults = _ProcFaults(plan, conn, journal)
     faults.install_reporting()
     corpus = ScriptCorpus(":memory:")
+    pipeline.seed_from_bundle(corpus)
 
     def run_job(job: Job, heartbeat: _Heartbeat) -> Dict[str, Any]:
         resolution = pipeline.scan_job(job.site_url, corpus,
@@ -535,8 +558,8 @@ class ProcessPool:
                  worker_procs: int, *,
                  telemetry: Optional[Telemetry] = None,
                  fault_plan: Optional[Any] = None,
-                 heartbeat_deadline: float = DEFAULT_HEARTBEAT_DEADLINE,
-                 respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
+                 heartbeat_deadline: Optional[float] = None,
+                 respawn_limit: Optional[int] = None,
                  respawn_backoff: float = 0.5,
                  reclaim_interval: float = 0.5) -> None:
         self.queue = queue
@@ -545,8 +568,10 @@ class ProcessPool:
         self.worker_procs = worker_procs
         self.tm = coalesce(telemetry)
         self.fault_plan = fault_plan
-        self.heartbeat_deadline = heartbeat_deadline
-        self.respawn_limit = respawn_limit
+        self.heartbeat_deadline = DEFAULT_HEARTBEAT_DEADLINE \
+            if heartbeat_deadline is None else heartbeat_deadline
+        self.respawn_limit = DEFAULT_RESPAWN_LIMIT \
+            if respawn_limit is None else respawn_limit
         self.respawn_backoff = respawn_backoff
         self.reclaim_interval = reclaim_interval
         self.clock = queue.clock
@@ -833,19 +858,20 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                       lease_seconds: float = 300.0,
                       journal_dir: Optional[str] = None,
                       heartbeat_seconds: float = 1.0,
-                      heartbeat_deadline: float =
-                      DEFAULT_HEARTBEAT_DEADLINE,
-                      respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
+                      heartbeat_deadline: Optional[float] = None,
+                      respawn_limit: Optional[int] = None,
                       respawn_backoff: float = 0.5) -> Any:
     """Drain *urls* through *worker_procs* supervised processes.
 
-    The coordinator's *manager* owns the crawl database (its browsers
-    never visit anything — slot 0's params are cloned into every
-    worker, exactly the slot a 1-worker inline crawl would use).
-    Returns the same :class:`~repro.sched.scheduler.CrawlReport` shape
-    as ``TaskManager.crawl_scheduled``.
+    The coordinator's *manager* owns the crawl database and the bundle
+    it records (its browsers never visit anything — slot 0's params
+    are cloned into every worker, exactly the slot a 1-worker inline
+    crawl would use); a replaying *manager*'s bundle is replayed by
+    every worker. Returns the same
+    :class:`~repro.sched.scheduler.CrawlReport` as
+    ``TaskManager.crawl_scheduled``.
     """
-    from repro.sched.scheduler import CrawlReport, CrawlScheduler
+    from repro.sched.scheduler import CrawlScheduler
 
     if queue_path == ":memory:":
         raise ValueError(
@@ -866,6 +892,7 @@ def run_process_crawl(manager: Any, urls: List[str], *,
             if mp.fault_plan is not None else None
         worker_mp = replace(mp, fault_plan=None)
         browser_params = manager.browsers[0].params
+        bundle = getattr(manager.network, "bundle", None)
 
         def make_spec(slot: int, generation: int,
                       fault_spent: Dict[int, int]) -> WorkerSpec:
@@ -879,7 +906,9 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                 fault_plan=plan_dict, fault_spent=fault_spent,
                 max_attempts=max_attempts,
                 lease_seconds=lease_seconds, journal_dir=journal_dir,
-                heartbeat_seconds=heartbeat_seconds)
+                heartbeat_seconds=heartbeat_seconds,
+                bundle_path=None if bundle is None else bundle.path,
+                capture_bundles=manager.capture_bundles)
 
         pool = ProcessPool(scheduler.queue, broker, make_spec,
                            worker_procs, telemetry=manager.telemetry,
@@ -887,19 +916,8 @@ def run_process_crawl(manager: Any, urls: List[str], *,
                            heartbeat_deadline=heartbeat_deadline,
                            respawn_limit=respawn_limit,
                            respawn_backoff=respawn_backoff)
-        pool_report = pool.run(stop_after_jobs=stop_after_jobs)
-        counts = scheduler.queue.counts()
-        return CrawlReport(
-            workers=worker_procs, enqueued_total=sum(counts.values()),
-            enqueued_new=scheduler._enqueued_new,
-            released_leases=scheduler._released,
-            completed=pool_report.completed, failed=pool_report.failed,
-            retried=pool_report.retried,
-            reclaimed=pool_report.reclaimed,
-            worker_deaths=pool_report.worker_deaths,
-            lease_lost=pool_report.lease_lost,
-            interrupted=pool_report.interrupted, counts=counts,
-            errors=list(pool_report.errors))
+        return scheduler.report(
+            pool.run(stop_after_jobs=stop_after_jobs))
     finally:
         scheduler.close()
 
@@ -911,18 +929,19 @@ def run_process_scan(pipeline: Any, scheduler: Any, broker: Broker, *,
                      fault_plan: Optional[Any] = None,
                      journal_dir: Optional[str] = None,
                      heartbeat_seconds: float = 1.0,
-                     heartbeat_deadline: float =
-                     DEFAULT_HEARTBEAT_DEADLINE,
-                     respawn_limit: int = DEFAULT_RESPAWN_LIMIT,
+                     heartbeat_deadline: Optional[float] = None,
+                     respawn_limit: Optional[int] = None,
                      respawn_backoff: float = 0.5) -> Any:
     """Process-pool backend for :meth:`ScanPipeline.run`.
 
     The caller (the pipeline) owns the scheduler and the
     :class:`~repro.core.scan.pipeline.ScanBroker` every worker's
-    resolutions settle through; this function owns the workers.
+    resolutions settle through — and any bundle it records or
+    replays; this function owns the workers.
     """
     telemetry = pipeline.telemetry
     plan_dict = fault_plan.to_dict() if fault_plan is not None else None
+    bundle = getattr(pipeline.web, "bundle", None)
 
     def make_spec(slot: int, generation: int,
                   fault_spent: Dict[int, int]) -> WorkerSpec:
@@ -938,7 +957,9 @@ def run_process_scan(pipeline: Any, scheduler: Any, broker: Broker, *,
             scan_client_id=pipeline.client_id,
             scan_dwell=pipeline.dwell,
             scan_max_subpages=pipeline.max_subpages,
-            scan_visit_subpages=visit_subpages)
+            scan_visit_subpages=visit_subpages,
+            bundle_path=None if bundle is None else bundle.path,
+            capture_bundles=pipeline.capture_bundles)
 
     pool = ProcessPool(scheduler.queue, broker, make_spec, worker_procs,
                        telemetry=telemetry, fault_plan=fault_plan,

@@ -17,11 +17,11 @@ scheduling state never perturbs crawl-data determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.telemetry import Telemetry, coalesce
 from repro.sched.jobs import JobQueue
-from repro.sched.pool import JobHandler, PoolReport, WorkerPool
+from repro.sched.pool import JobHandler, WorkerPool
 from repro.sched.settle import Broker
 
 
@@ -111,11 +111,15 @@ class CrawlScheduler:
                                 poll_seconds=poll_seconds,
                                 broker=broker,
                                 fault_plan=fault_plan)
-        pool_report: PoolReport = self._pool.run(
-            stop_after_jobs=stop_after_jobs)
+        return self.report(self._pool.run(stop_after_jobs=stop_after_jobs))
+
+    def report(self, pool_report: Any) -> CrawlReport:
+        """The :class:`CrawlReport` of one pool run against this queue
+        (a thread pool's, or a process pool's
+        :class:`~repro.sched.procpool.ProcPoolReport`)."""
         counts = self.queue.counts()
         return CrawlReport(
-            workers=workers,
+            workers=pool_report.workers,
             enqueued_total=sum(counts.values()),
             enqueued_new=self._enqueued_new,
             released_leases=self._released,

@@ -18,7 +18,6 @@ import pytest
 from repro.bundles import (
     Bundle,
     BundleError,
-    BundleRecorder,
     BundleWriter,
     IncompleteBundleError,
     ReplayWeb,
@@ -60,12 +59,12 @@ def recorded(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
     path = str(root / "rec")
     web = build_world(site_count=SITES, seed=SEED)
-    recorder = BundleRecorder(
+    recorder = BundleWriter(
         path, kind="scan", params={"sites": SITES, "seed": SEED},
         sites=[config.domain for config in web.configs])
     pipeline = ScanPipeline(web, recorder=recorder)
     dataset = pipeline.run(visit_subpages=True)
-    recorder.close(complete=True)
+    recorder.finalize(complete=True)
     return path, _payload(dataset)
 
 
@@ -73,14 +72,14 @@ def _replay(bundle_path: str, workers: int = 1, record: str = None):
     bundle = Bundle(bundle_path)
     recorder = None
     if record is not None:
-        recorder = BundleRecorder(
+        recorder = BundleWriter(
             record, kind="scan", params={"replay_of": bundle_path},
             sites=list(bundle.sites()))
     web = ReplayWeb(bundle)
     pipeline = ScanPipeline(web, recorder=recorder)
     dataset = pipeline.run(visit_subpages=True, workers=workers)
     if recorder is not None:
-        recorder.close(complete=True)
+        recorder.finalize(complete=True)
     bundle.close()
     return dataset
 

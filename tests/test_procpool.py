@@ -183,6 +183,98 @@ class TestScanProcEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Record and replay: a process pool archives and replays as inline does
+# ---------------------------------------------------------------------------
+class TestProcBundles:
+    """The lab web for the crawl: tranco crawl rows depend on which
+    sites a browser slot visited before, so only the lab web's are
+    schedule-independent."""
+
+    def test_proc_crawl_records_and_replays_as_inline(self, tmp_path):
+        from repro.bundles import Bundle, diff_bundles
+
+        inline_rec = str(tmp_path / "inline-rec")
+        proc_rec = str(tmp_path / "proc-rec")
+        crawl(tmp_path, "inline", workers=1, record_dir=inline_rec)
+        _, report = crawl(tmp_path, "proc", worker_procs=2,
+                          record_dir=proc_rec)
+        assert report.drained
+        original, recorded = Bundle(inline_rec), Bundle(proc_rec)
+        try:
+            assert diff_bundles(original, recorded)["zero_diffs"]
+        finally:
+            original.close()
+            recorded.close()
+
+        inline_db, _ = crawl(tmp_path, "inline-replay", workers=1,
+                             replay_dir=inline_rec)
+        telemetry = Telemetry()
+        proc_db, report = crawl(tmp_path, "proc-replay", worker_procs=2,
+                                replay_dir=inline_rec,
+                                telemetry=telemetry)
+        assert report.drained and report.completed == 10
+        assert telemetry.metrics.counter_value(
+            "bundle_replay_misses") == 0
+        assert dump_tables(proc_db) == dump_tables(inline_db)
+
+    def test_proc_scan_records_and_replays_as_inline(self, tmp_path):
+        import json
+
+        from repro.bundles import (
+            Bundle,
+            BundleWriter,
+            ReplayWeb,
+            diff_bundles,
+        )
+        from repro.cli import _scan_output
+        from repro.core.scan import ScanPipeline
+        from repro.web import build_world
+
+        def scan(name, web, record=None, telemetry=None, **mode):
+            recorder = None if record is None else BundleWriter(
+                record, kind="scan",
+                sites=[config.domain for config in web.configs])
+            dataset = ScanPipeline(web, telemetry=telemetry,
+                                   recorder=recorder).run(
+                visit_subpages=True, world_seed=5,
+                queue_path=str(tmp_path / f"{name}.queue"), **mode)
+            if recorder is not None:
+                recorder.finalize(complete=True)
+            output = _scan_output(dataset)
+            output.pop("corpus")
+            dataset.corpus.close()
+            return json.dumps(output, sort_keys=True)
+
+        world = build_world(site_count=6, seed=5)
+        inline_rec = str(tmp_path / "inline-rec")
+        proc_rec = str(tmp_path / "proc-rec")
+        live = scan("inline", world, record=inline_rec)
+        assert scan("proc", world, record=proc_rec, worker_procs=2) \
+            == live
+        original, recorded = Bundle(inline_rec), Bundle(proc_rec)
+        try:
+            assert diff_bundles(original, recorded)["zero_diffs"]
+            # Process scans archive their analysis rows too.
+            assert recorded.store.export_analysis_cache() \
+                == original.store.export_analysis_cache()
+        finally:
+            original.close()
+            recorded.close()
+
+        bundle = Bundle(inline_rec)
+        try:
+            inline_replay = scan("inline-replay", ReplayWeb(bundle))
+            telemetry = Telemetry()
+            proc_replay = scan("proc-replay", ReplayWeb(bundle),
+                               telemetry=telemetry, worker_procs=2)
+        finally:
+            bundle.close()
+        assert proc_replay == inline_replay == live
+        assert telemetry.metrics.counter_value(
+            "bundle_replay_misses") == 0
+
+
+# ---------------------------------------------------------------------------
 # Fault injection at the proc.* choke points
 # ---------------------------------------------------------------------------
 class TestProcFaults:

@@ -14,6 +14,7 @@ import multiprocessing
 
 import pytest
 
+from repro.bundles import Bundle, BundleWriter
 from repro.cli import _scan_output
 from repro.core.scan import ScanBroker, ScanDataset, ScanPipeline
 from repro.core.scan.results_store import (
@@ -22,6 +23,7 @@ from repro.core.scan.results_store import (
     store_path_for,
 )
 from repro.corpus import ScriptCorpus, corpus_path_for
+from repro.obs.telemetry import Telemetry
 from repro.sched import COMPLETED, LEASED, JobQueue
 from repro.sched.settle import COMPLETE
 from repro.web import build_world
@@ -242,3 +244,48 @@ class TestCrashWindow:
             assert len(resumed.combined) == len(world.configs) - 1
         finally:
             resumed.corpus.close()
+
+
+class TestRecordedScan:
+    def test_bundle_holds_no_site_the_queue_never_completed(
+            self, world, tmp_path, monkeypatch):
+        """The sidecar write fails for one site of a recorded scan: the
+        site stays leased, and the bundle, written by the same broker,
+        must not hold it either."""
+        victim = world.configs[2].domain
+        save = ScanResultStore.save
+
+        def failing(self, domain, evidences):
+            if domain == victim:
+                raise OSError("sidecar write failed")
+            save(self, domain, evidences)
+
+        monkeypatch.setattr(ScanResultStore, "save", failing)
+        telemetry = Telemetry()
+        bundle_dir = str(tmp_path / "bundle")
+        recorder = BundleWriter(
+            bundle_dir, kind="scan",
+            sites=[config.domain for config in world.configs],
+            telemetry=telemetry)
+        queue_path = str(tmp_path / "recorded.queue")
+        dataset = ScanPipeline(world, client_id="recorded",
+                               telemetry=telemetry,
+                               recorder=recorder).run(
+            visit_subpages=False, queue_path=queue_path)
+        recorder.finalize(complete=False)
+        dataset.corpus.close()
+        queue = JobQueue(queue_path)
+        try:
+            assert victim in queue.sites(status=LEASED)
+            completed = queue.sites(status=COMPLETED)
+        finally:
+            queue.close()
+        assert completed
+        bundle = Bundle(bundle_dir, allow_incomplete=True)
+        try:
+            recorded = bundle.recorded_sites()
+        finally:
+            bundle.close()
+        assert sorted(recorded) == sorted(completed)
+        assert telemetry.metrics.counter_value(
+            "bundle_sites_recorded") == len(recorded)

@@ -14,13 +14,15 @@ import threading
 
 import pytest
 
+from repro.bundles import Bundle
 from repro.core.lab import make_lab_network
 from repro.faults import FaultPlan, FaultRule
 from repro.obs.runner import run_telemetry_crawl
 from repro.obs.stats import build_crawl_report
 from repro.obs.telemetry import Telemetry
 from repro.openwpm import BrowserParams, ManagerParams, TaskManager
-from repro.sched import JobQueue
+from repro.openwpm.storage import StorageController
+from repro.sched import COMPLETED, LEASED, JobQueue
 from repro.sched.settle import _Finalizer
 
 URLS = [f"https://lab.test/site-{i:05d}" for i in range(60)]
@@ -260,6 +262,87 @@ class TestLedgerRaces:
         assert report.released_leases == 1 and report.completed == 1
         assert_each_site_ends_once(manager, queue_path, URLS[:1])
         manager.close()
+
+
+class TestRecordedCrawl:
+    def test_bundle_holds_no_site_the_queue_never_completed(
+            self, tmp_path, monkeypatch):
+        """The envelope write fails for one site of a recorded crawl:
+        the site stays leased and out of ``site_visits``, and the
+        bundle, written by the same broker, must not hold it either."""
+        victim = "https://lab.test/site-00002"
+        record_envelope = StorageController.record_envelope
+
+        def failing(self, visits, content, ledger):
+            if any(visit["site_url"] == victim for visit in visits):
+                raise sqlite3.OperationalError("disk I/O error")
+            return record_envelope(self, visits, content, ledger)
+
+        monkeypatch.setattr(StorageController, "record_envelope", failing)
+        telemetry = Telemetry()
+        bundle_dir = str(tmp_path / "bundle")
+        queue_path = str(tmp_path / "crawl.queue")
+        result = run_telemetry_crawl(
+            site_count=5, seed=7, database_path=str(tmp_path / "c.db"),
+            crash_probability=0.0, browsers=1, web="lab", workers=1,
+            queue_path=queue_path, record_dir=bundle_dir,
+            telemetry=telemetry)
+        visited = {row["site_url"] for row in result.storage.query(
+            "SELECT site_url FROM site_visits")}
+        result.close()
+        queue = JobQueue(queue_path)
+        try:
+            assert victim in queue.sites(status=LEASED)
+            completed = queue.sites(status=COMPLETED)
+        finally:
+            queue.close()
+        assert victim not in visited and completed
+        bundle = Bundle(bundle_dir, allow_incomplete=True)
+        try:
+            recorded = bundle.recorded_sites()
+        finally:
+            bundle.close()
+        assert sorted(recorded) == sorted(completed)
+        assert telemetry.metrics.counter_value(
+            "bundle_sites_recorded") == len(recorded)
+
+    def test_contending_threads_record_the_inline_bundle(self, tmp_path):
+        """Eight recording threads on two cores, switching every
+        microsecond, archive what the inline crawl archives: a lost
+        update in the broker's writes would show as a diff."""
+        from repro.bundles import diff_bundles
+
+        def record(name, **mode):
+            telemetry = Telemetry()
+            result = run_telemetry_crawl(
+                site_count=60, seed=7, crash_probability=0.0, web="lab",
+                record_dir=str(tmp_path / name), telemetry=telemetry,
+                **mode)
+            result.close()
+            return telemetry
+
+        record("inline", browsers=1)
+        results = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.append(
+                record("threads", browsers=8, workers=8,
+                       queue_path=str(tmp_path / "t8.queue"))))
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not runner.is_alive() and results
+        assert results[0].metrics.counter_value(
+            "bundle_sites_recorded") == 60
+        inline = Bundle(str(tmp_path / "inline"))
+        threads = Bundle(str(tmp_path / "threads"))
+        try:
+            assert diff_bundles(inline, threads)["zero_diffs"]
+        finally:
+            inline.close()
+            threads.close()
 
 
 class TestThreadEquivalence:
