@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.browser.profiles import BrowserProfile
 from repro.dom.csp import ContentSecurityPolicy, CSPViolation
@@ -25,9 +25,17 @@ from repro.jsengine.interpreter import (
     Interpreter,
     Scope,
 )
-from repro.jsobject.descriptors import PropertyDescriptor
+from repro.jsobject.descriptors import (
+    DescriptorTemplate,
+    LazyDescriptor,
+    PropertyDescriptor,
+)
 from repro.jsobject.errors import JSError
-from repro.jsobject.functions import JSFunction, NativeFunction
+from repro.jsobject.functions import (
+    JSFunction,
+    NativeFunction,
+    returns_undefined,
+)
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import NULL, UNDEFINED
 from repro.net.http import HttpResponse, ResourceType
@@ -44,6 +52,40 @@ class ScriptExecutionError:
 
     def __repr__(self) -> str:
         return f"<ScriptExecutionError {self.script_url}: {self.message}>"
+
+
+class _NoopMethods(DescriptorTemplate):
+    """Host methods that do nothing: the wrapped API surface (canvas,
+    WebGL, audio, performance, history). A placeholder's args are the
+    method name."""
+
+    __slots__ = ("function_prototype",)
+
+    def __init__(self, function_prototype: JSObject) -> None:
+        self.function_prototype = function_prototype
+
+    def build(self, name: str) -> Tuple[Any, Any, Any]:
+        return NativeFunction(returns_undefined, name=name,
+                              proto=self.function_prototype), None, None
+
+
+class _ValueGetters(DescriptorTemplate):
+    """Getter-only accessors returning a fixed value (``navigator``,
+    ``screen``, window geometry). A placeholder's args are
+    ``(name, value)``."""
+
+    __slots__ = ("function_prototype",)
+    accessor = True
+
+    def __init__(self, function_prototype: JSObject) -> None:
+        self.function_prototype = function_prototype
+
+    def build(self, args: Tuple[str, Any]) -> Tuple[Any, Any, Any]:
+        name, value = args
+        getter = NativeFunction(lambda i, t, a: value, name=f"get {name}",
+                                proto=self.function_prototype,
+                                masquerade_name=name)
+        return UNDEFINED, getter, None
 
 
 class BrowserWindow:
@@ -78,6 +120,13 @@ class BrowserWindow:
         self.screen_proto: Optional[JSObject] = None
         self.webgl_context: Optional[JSObject] = None
         self.context_2d: Optional[JSObject] = None
+        #: Descriptors this window shares with every window of its
+        #: profile (the WebGL parameters); instruments leave them as
+        #: they are.
+        self.shared_descriptors: Dict[str, PropertyDescriptor] = {}
+        function_prototype = self.realm.function_prototype
+        self._noop_methods = _NoopMethods(function_prototype)
+        self._value_getters = _ValueGetters(function_prototype)
 
         self._build_window_graph()
 
@@ -123,8 +172,8 @@ class BrowserWindow:
 
     def _value_accessor(self, target: JSObject, name: str, value: Any,
                         enumerable: bool = True) -> None:
-        self._accessor(target, name, lambda i, t, a, v=value: v,
-                       enumerable=enumerable)
+        target.define_property(name, LazyDescriptor(
+            self._value_getters, (name, value), enumerable=enumerable))
 
     # ------------------------------------------------------------------
     def _install_navigator(self) -> None:
@@ -499,10 +548,11 @@ class BrowserWindow:
         return constructor, proto
 
     def _put_noop_methods(self, proto: JSObject, names: List[str]) -> None:
+        template = self._noop_methods
+        properties = proto.properties
         for method_name in names:
-            proto.put(method_name, NativeFunction(
-                lambda i, t, a: UNDEFINED, name=method_name,
-                proto=self.realm.function_prototype), enumerable=False)
+            properties[method_name] = LazyDescriptor(
+                template, method_name, enumerable=False)
 
     def _install_canvas_contexts(self) -> None:
         from repro.browser.api_surface import (
@@ -533,6 +583,7 @@ class BrowserWindow:
                     for name, value in profile.webgl.items()}
                 profile._webgl_descriptors = shared
             webgl_proto.properties.update(shared)
+            self.shared_descriptors = shared
             context = JSObject(proto=webgl_proto,
                                class_name="WebGLRenderingContext")
 

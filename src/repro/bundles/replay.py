@@ -47,13 +47,25 @@ class ReplayNetwork(Network):
         self.replay_hits = 0
 
     # ------------------------------------------------------------------
-    # Visit scoping: the crawl and scan position a visit's cursor
+    # Visit scoping: every job attempt of the crawl or scan starts its
+    # site's cursor over, then each visit takes the next archived one
     # ------------------------------------------------------------------
+    def begin_site(self, site: str) -> None:
+        """A job attempt for *site* starts: replay its first visit next.
+
+        Reset per attempt, not per change of site: a retried attempt
+        replays the same archived visits, and so does a later job for
+        the same site (a crawl listing one URL twice in a row).
+        """
+        tl = self._tl
+        tl.site = site
+        tl.next_index = 0
+        tl.queues = None
+
     def begin_visit(self, site: str, url: str) -> None:
         tl = self._tl
         if getattr(tl, "site", None) != site:
-            tl.site = site
-            tl.next_index = 0
+            self.begin_site(site)
         visit = self.bundle.visit(site, tl.next_index)
         tl.next_index += 1
         queues: Dict[Tuple[str, str], deque] = {}
@@ -69,18 +81,6 @@ class ReplayNetwork(Network):
 
     def end_visit(self, **_) -> None:
         self._tl.queues = None
-
-    def abandon_visit(self) -> None:
-        tl = self._tl
-        if getattr(tl, "queues", None) is not None:
-            # A retried attempt must replay the same archived visit.
-            tl.next_index = max(0, tl.next_index - 1)
-        tl.queues = None
-
-    def abandon_site(self) -> None:
-        tl = self._tl
-        tl.queues = None
-        tl.site = None
 
     # ------------------------------------------------------------------
     def fetch(self, request: HttpRequest, client: ClientIdentity

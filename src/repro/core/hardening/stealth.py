@@ -25,18 +25,28 @@ Differences from the vanilla instrument, keyed to the paper:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.hardening.errors import sanitize_error_stack
-from repro.jsobject.descriptors import PropertyDescriptor
+from repro.jsobject.descriptors import (
+    DescriptorTemplate,
+    LazyDescriptor,
+    PropertyDescriptor,
+)
 from repro.jsobject.errors import JSError
-from repro.jsobject.functions import JSFunction
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import UNDEFINED
 from repro.openwpm.instruments.js_instrument import (
+    ACCESSOR,
     DEFAULT_TARGETS,
+    METHOD,
+    VALUE,
     JSCallRecord,
     TargetSpec,
+    target_chain,
+    target_object_name,
+    wrappable,
 )
 
 
@@ -45,6 +55,84 @@ def _interface_name(proto: JSObject, fallback: str) -> str:
     if name.endswith("Prototype"):
         return name[: -len("Prototype")]
     return fallback
+
+
+class _StealthWrappers(DescriptorTemplate):
+    """One window's exported wrappers of one kind, built on first touch.
+
+    A placeholder's args are ``(symbol, name, source)`` (see
+    :func:`~repro.openwpm.instruments.js_instrument.wrappable`). A
+    method keeps its data shape, with an exported function as value;
+    accessors and plain values become exported getter/setter pairs.
+    """
+
+    __slots__ = ("instrument", "window", "context", "kind", "accessor")
+    marks = MappingProxyType({"wpmhide_wrapped": True})
+
+    def __init__(self, instrument: "StealthJSInstrument", window: Any,
+                 context: Any, kind: str) -> None:
+        self.instrument = instrument
+        self.window = window
+        self.context = context
+        self.kind = kind
+        self.accessor = kind != METHOD
+
+    def build(self, args: Tuple[str, str, PropertyDescriptor]
+              ) -> Tuple[Any, Any, Any]:
+        symbol, name, source = args
+        instrument, window = self.instrument, self.window
+        export = self.context.export_function
+
+        def log(operation: str, value: str = "", arguments: str = "") -> None:
+            instrument._record(window, symbol, operation, value, arguments)
+
+        def render(value: Any) -> str:
+            return instrument._render(window, value)
+
+        if self.kind == METHOD:
+            original = source.value
+
+            def stealth_call(interp, this, args):
+                log("call", arguments=",".join(render(a) for a in args))
+                try:
+                    return original.call(interp, this, args)
+                except JSError as exc:
+                    # Scrub any instrumentation trace before the page
+                    # can observe the error (Sec. 6.1.3).
+                    raise JSError(sanitize_error_stack(exc.value)) from exc
+
+            label = original.function_name or name
+            return (export(stealth_call, label, masquerade_name=label),
+                    None, None)
+
+        if self.kind == ACCESSOR:
+            original_get, original_set = source.get, source.set
+
+            def stealth_get(interp, this, args):
+                result = original_get.call(interp, this, []) \
+                    if original_get is not None else UNDEFINED
+                log("get", value=render(result))
+                return result
+
+            def stealth_set(interp, this, args):
+                log("set", value=render(args[0] if args else UNDEFINED))
+                if original_set is not None:
+                    return original_set.call(interp, this, args)
+                return UNDEFINED
+        else:
+            original_value = source.value
+
+            def stealth_get(interp, this, args):
+                log("get", value=render(original_value))
+                return original_value
+
+            def stealth_set(interp, this, args):
+                log("set", value=render(args[0] if args else UNDEFINED))
+                return UNDEFINED
+
+        return (UNDEFINED,
+                export(stealth_get, name, masquerade_name=name),
+                export(stealth_set, name, masquerade_name=name))
 
 
 class StealthJSInstrument:
@@ -70,12 +158,14 @@ class StealthJSInstrument:
     def instrument_window(self, window: Any, context: Any) -> bool:
         if window.parent is not None or window.is_popup:
             self.frames_instrumented += 1
+        templates = {kind: _StealthWrappers(self, window, context, kind)
+                     for kind in (ACCESSOR, METHOD, VALUE)}
         installed = 0
         for target in self.targets:
             obj = self._resolve_path(window, target.path)
             if isinstance(obj, JSObject):
-                installed += self._instrument_object(window, context, obj,
-                                                     target)
+                installed += self._instrument_object(window, templates,
+                                                     obj, target)
         if self.hide_webdriver:
             self._hide_webdriver(window, context)
         self.install_counts[id(window)] = installed
@@ -90,121 +180,24 @@ class StealthJSInstrument:
         return obj
 
     # ------------------------------------------------------------------
-    def _instrument_object(self, window: Any, context: Any, obj: JSObject,
-                           target: TargetSpec) -> int:
-        realm = window.realm
-        if target.is_prototype:
-            chain = [obj]
-            walker = obj.proto
-        else:
-            chain = []
-            walker = obj.proto
-        while walker is not None and walker is not realm.object_prototype \
-                and walker is not realm.function_prototype:
-            chain.append(walker)
-            walker = walker.proto
-        if not chain:
-            chain = [obj]
-
-        fallback_name = target.path.split(".")[0] \
-            if not target.is_prototype else target.path.rsplit(".", 2)[0]
+    def _instrument_object(self, window: Any,
+                           templates: Dict[str, _StealthWrappers],
+                           obj: JSObject, target: TargetSpec) -> int:
+        fallback_name = target_object_name(target)
         installed = 0
-        for proto in chain:
+        for proto in target_chain(window, obj, target):
             interface = _interface_name(proto, fallback_name)
-            for name, desc in list(proto.properties.items()):
-                if name in target.exclude or name == "constructor":
-                    continue
-                if desc.meta.get("wpmhide_wrapped"):
-                    continue
-                if target.methods_only and not desc.is_accessor \
-                        and not isinstance(desc.value, JSFunction):
-                    continue
-                wrapped = self._wrap_descriptor(
-                    window, context, interface, name, desc,
-                    methods_only=target.methods_only)
-                if wrapped is None:
-                    continue
-                wrapped.meta["wpmhide_wrapped"] = True
-                wrapped.meta["wpmhide_original"] = desc
-                # Per-prototype: the wrapper replaces the property on the
-                # SAME prototype it was found on — no pollution.
-                proto.properties[name] = wrapped
+            # Per-prototype: the wrapper replaces the property on the
+            # SAME prototype it was found on — no pollution.
+            for name, kind, source in wrappable(
+                    window, proto, target, "wpmhide_wrapped",
+                    replaced=True):
+                proto.properties[name] = LazyDescriptor(
+                    templates[kind], (f"{interface}.{name}", name, source),
+                    writable=source.writable, enumerable=source.enumerable,
+                    configurable=source.configurable)
                 installed += 1
         return installed
-
-    # ------------------------------------------------------------------
-    def _wrap_descriptor(self, window: Any, context: Any, interface: str,
-                         name: str, desc: PropertyDescriptor,
-                         methods_only: bool
-                         ) -> Optional[PropertyDescriptor]:
-        symbol = f"{interface}.{name}"
-
-        def log(operation: str, value: str = "", arguments: str = "") -> None:
-            self._record(window, symbol, operation, value, arguments)
-
-        if desc.is_accessor:
-            original_get, original_set = desc.get, desc.set
-
-            def stealth_get(interp, this, args):
-                result = original_get.call(interp, this, []) \
-                    if original_get is not None else UNDEFINED
-                log("get", value=self._render(window, result))
-                return result
-
-            def stealth_set(interp, this, args):
-                log("set", value=self._render(window,
-                                              args[0] if args else UNDEFINED))
-                if original_set is not None:
-                    return original_set.call(interp, this, args)
-                return UNDEFINED
-
-            return PropertyDescriptor.accessor(
-                get=context.export_function(stealth_get, name,
-                                            masquerade_name=name),
-                set=context.export_function(stealth_set, name,
-                                            masquerade_name=name),
-                enumerable=desc.enumerable, configurable=desc.configurable)
-
-        value = desc.value
-        if isinstance(value, JSFunction):
-            original = value
-
-            def stealth_call(interp, this, args):
-                log("call", arguments=",".join(
-                    self._render(window, a) for a in args))
-                try:
-                    return original.call(interp, this, args)
-                except JSError as exc:
-                    # Scrub any instrumentation trace before the page
-                    # can observe the error (Sec. 6.1.3).
-                    raise JSError(sanitize_error_stack(exc.value)) from exc
-
-            wrapper = context.export_function(
-                stealth_call, original.function_name or name,
-                masquerade_name=original.function_name or name)
-            return PropertyDescriptor(
-                value=wrapper, writable=desc.writable,
-                enumerable=desc.enumerable, configurable=desc.configurable)
-
-        if methods_only:
-            return None
-        original_value = value
-
-        def data_get(interp, this, args):
-            log("get", value=self._render(window, original_value))
-            return original_value
-
-        def data_set(interp, this, args):
-            log("set", value=self._render(window,
-                                          args[0] if args else UNDEFINED))
-            return UNDEFINED
-
-        return PropertyDescriptor.accessor(
-            get=context.export_function(data_get, name,
-                                        masquerade_name=name),
-            set=context.export_function(data_set, name,
-                                        masquerade_name=name),
-            enumerable=desc.enumerable, configurable=desc.configurable)
 
     # ------------------------------------------------------------------
     def _hide_webdriver(self, window: Any, context: Any) -> None:
@@ -221,7 +214,7 @@ class StealthJSInstrument:
             get=context.export_function(webdriver_get, "webdriver",
                                         masquerade_name="webdriver"),
             enumerable=True, configurable=True)
-        desc.meta["wpmhide_wrapped"] = True
+        desc.mark("wpmhide_wrapped", True)
         proto.properties["webdriver"] = desc
 
     # ------------------------------------------------------------------

@@ -497,15 +497,15 @@ class ScanPipeline:
         """
         batch = corpus.site_batch(domain)
         browser, extension = self._site_browser(domain)
+        begin_site = getattr(self.web.network, "begin_site", None)
+        if begin_site is not None:
+            # A replay transport replays this attempt from the site's
+            # first archived visit.
+            begin_site(domain)
         try:
             evidences, front, combined = self._scan_site(
                 domain, visit_subpages, batch, browser, extension)
-        except BaseException as exc:
-            abandon = getattr(self.web.network, "abandon_site", None)
-            if abandon is not None:
-                abandon()
-            if not isinstance(exc, Exception):
-                raise
+        except Exception as exc:
             return {"kind": RETRY, "error": repr(exc)}
         resolution = {"kind": COMPLETE, "error": "",
                       "evidences": evidences, "front": front,

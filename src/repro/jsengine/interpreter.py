@@ -249,8 +249,9 @@ class ScriptFunction(JSFunction):
         self.is_arrow = node.is_arrow
         self.captured_this = captured_this
         # ``lightweight`` skips the own prototype/name/length properties;
-        # used for the thousands of instrumentation wrappers, which are
-        # never constructed and never introspected through those props.
+        # used for the instrumentation wrappers (built when a page first
+        # touches a wrapped API), which are never constructed and never
+        # introspected through those props.
         if lightweight:
             return
         if not node.is_arrow:
@@ -270,7 +271,7 @@ class ScriptFunction(JSFunction):
         interp = self.home_interpreter or interp
         # Compiled bodies cache on the (shared, immutable) AST node: the
         # instrumentation wrapper templates are four process-wide nodes,
-        # so the thousands of wrappers compile exactly once.
+        # so every wrapper of every window shares four compiled bodies.
         plan = getattr(self.node, "_compiled_plan", None)
         if plan is None:
             from repro.jsengine.compiler import compile_function

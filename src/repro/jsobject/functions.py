@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.jsobject.objects import JSObject
+from repro.jsobject.values import UNDEFINED
 
 
 class JSFunction(JSObject):
@@ -80,6 +81,11 @@ class NativeFunction(JSFunction):
 
     def to_source_string(self) -> str:
         return native_source(self.masquerade_name)
+
+
+def returns_undefined(interp: Any, this: Any, args: List[Any]) -> Any:
+    """A native body that does nothing (host no-op methods, setters)."""
+    return UNDEFINED
 
 
 def native_function(name: str = "") -> Callable:

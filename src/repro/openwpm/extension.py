@@ -77,9 +77,12 @@ class OpenWPMExtension(ExtensionHost):
     def on_visit_start(self, browser: Any, url: Any) -> None:
         self.instrumented_windows = []
         if self.js_instrument is not None:
-            # A CSP-blocked window keeps its whole DOM/JS heap alive;
-            # readers only check the list after the visit that filled it.
+            # A CSP-blocked window keeps its whole DOM/JS heap alive, and
+            # the install counts are keyed by window ids, which a later
+            # window may reuse; readers only check either after the
+            # visit that filled it.
             self.js_instrument.failed_windows.clear()
+            self.js_instrument.install_counts.clear()
 
     def on_window_created(self, window: Any) -> None:
         self._instrument(window)

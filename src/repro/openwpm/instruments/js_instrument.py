@@ -26,13 +26,20 @@ How the real instrument works — and what this module reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import compress
+from operator import is_not
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.jsengine.builtins import js_to_python
 from repro.jsengine.interpreter import Scope, ScriptFunction
 from repro.jsengine.parser import parse
-from repro.jsobject.descriptors import PropertyDescriptor
-from repro.jsobject.functions import JSFunction, NativeFunction
+from repro.jsobject.descriptors import (
+    DescriptorTemplate,
+    LazyDescriptor,
+    PropertyDescriptor,
+)
+from repro.jsobject.functions import NativeFunction, returns_undefined
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import UNDEFINED
 from repro.obs.telemetry import Telemetry, coalesce
@@ -154,6 +161,143 @@ DEFAULT_TARGETS: List[TargetSpec] = [
 ]
 
 
+def target_chain(window: Any, obj: JSObject,
+                 target: TargetSpec) -> List[JSObject]:
+    """The prototype levels whose own properties *target* wraps.
+
+    The chain stops below ``Object.prototype``/``Function.prototype``;
+    a plain object with neither wraps its own properties in place.
+    """
+    realm = window.realm
+    chain = [obj] if target.is_prototype else []
+    walker = obj.proto
+    while walker is not None and walker is not realm.object_prototype \
+            and walker is not realm.function_prototype:
+        chain.append(walker)
+        walker = walker.proto
+    return chain or [obj]
+
+
+def target_object_name(target: TargetSpec) -> str:
+    """``navigator`` for ``navigator``; ``X`` for ``X.prototype``."""
+    if target.is_prototype:
+        return target.path.rsplit(".", 2)[0]
+    return target.path.split(".")[0]
+
+
+#: Wrapper kinds: an accessor's, a method's, a plain data value's.
+ACCESSOR, METHOD, VALUE = "accessor", "method", "value"
+
+
+def wrappable(window: Any, proto: JSObject, target: TargetSpec, mark: str,
+              replaced: bool) -> List[Tuple[str, str, PropertyDescriptor]]:
+    """``(name, kind, source)`` for each of *proto*'s properties that
+    *target* wraps, in property order.
+
+    Skips excluded names, ``constructor`` and descriptors already
+    carrying the instrument's *mark*; a ``methods_only`` target also
+    skips data properties that do not hold a function. Placeholders
+    answer without being built. The profile's shared WebGL constants
+    are dropped by identity before any of that, without a Python-level
+    step per property: there are ~2k of them on every window.
+
+    ``source`` is the descriptor the wrapper wraps. A *replaced* one
+    leaves the page's reach, so the wrapper reads it when built; one
+    that stays on an ancestor prototype (the Fig. 2 copies) is
+    snapshotted now, since the page could still write it in place.
+    """
+    properties = proto.properties
+    items: Iterable[Tuple[str, PropertyDescriptor]] = properties.items()
+    if target.methods_only and window.shared_descriptors:
+        unshared = map(is_not, map(window.shared_descriptors.get,
+                                   properties), properties.values())
+        items = compress(items, unshared)
+    found = []
+    for name, desc in items:
+        if name in target.exclude or name == "constructor" \
+                or desc.meta.get(mark):
+            continue
+        if desc.is_accessor:
+            kind = ACCESSOR
+        elif desc.holds_function():
+            kind = METHOD
+        elif target.methods_only:
+            continue
+        else:
+            kind = VALUE
+        found.append((name, kind, desc if replaced else desc.copy()))
+    return found
+
+
+class _Wrappers(DescriptorTemplate):
+    """One window's script wrappers of one kind, built on first touch.
+
+    A placeholder's args are ``(object_name, name, source)`` (see
+    :func:`wrappable`). Wrappers close over the injected script's
+    scope and report as :data:`INSTRUMENT_SCRIPT_URL` in stack frames.
+    """
+
+    __slots__ = ("interp", "scope", "function_prototype", "kind")
+    accessor = True
+    marks = MappingProxyType({"openwpm_wrapped": True})
+
+    def __init__(self, window: Any, scope: Scope, kind: str) -> None:
+        self.interp = window.interp
+        self.scope = scope
+        self.function_prototype = window.realm.function_prototype
+        self.kind = kind
+
+    def _native(self, fn: Any, name: str) -> NativeFunction:
+        return NativeFunction(fn, name=name, proto=self.function_prototype)
+
+    def _wrapper(self, node: Any, variables: Dict[str, Any]
+                 ) -> ScriptFunction:
+        # A function scope of its own keeps each wrapper's closure
+        # variables private instead of hoisting them into the shared
+        # injected scope.
+        closure = Scope(parent=self.scope, function_scope=True)
+        closure.variables.update(variables)
+        wrapper = ScriptFunction(node, closure, self.interp,
+                                 lightweight=True)
+        wrapper.script_url = INSTRUMENT_SCRIPT_URL
+        return wrapper
+
+    def build(self, args: Tuple[str, str, PropertyDescriptor]
+              ) -> Tuple[Any, Any, Any]:
+        object_name, name, source = args
+        if self.kind == METHOD:
+            call_wrapper = self._wrapper(_CALL_NODE, {
+                "objectName": object_name, "methodName": name,
+                "func": source.value})
+            # Access to the wrapped function itself goes through a getter;
+            # reassignment attempts are recorded via the set wrapper (the
+            # "hooks into setters and getters" protection, Sec. 5.1.1).
+            getter = self._wrapper(_METHOD_GET_NODE, {"func": call_wrapper})
+            original_set = self._native(returns_undefined, "originalSet")
+        else:
+            if self.kind == ACCESSOR:
+                get_fn, set_fn = source.get, source.set
+                original_get = self._native(
+                    lambda i, t, a: get_fn.call(i, t, [])
+                    if get_fn is not None else UNDEFINED, "originalGet")
+                original_set = self._native(
+                    lambda i, t, a: set_fn.call(i, t, a)
+                    if set_fn is not None else UNDEFINED, "originalSet")
+            else:
+                value = source.value
+                original_get = self._native(lambda i, t, a: value,
+                                            "originalGet")
+                original_set = self._native(returns_undefined,
+                                            "originalSet")
+            getter = self._wrapper(_GET_NODE, {
+                "objectName": object_name, "propertyName": name,
+                "originalGet": original_get})
+        setter = self._wrapper(_SET_NODE, {
+            "objectName": object_name, "propertyName": name,
+            "originalSet": original_set})
+        return UNDEFINED, getter, setter
+
+
 @dataclass
 class JSCallRecord:
     """One record as received by the instrument's background end."""
@@ -223,12 +367,14 @@ class JSInstrument:
             event_id, lambda event, interp: self._on_record(window, event,
                                                             interp))
 
+        templates = {kind: _Wrappers(window, scope, kind)
+                     for kind in (ACCESSOR, METHOD, VALUE)}
         installed = 0
         for target in self.targets:
             obj = self._resolve_path(window, target.path)
             if isinstance(obj, JSObject):
                 installed += self._instrument_object(
-                    window, scope, obj, target)
+                    window, templates, obj, target)
         self.install_counts[id(window)] = installed
         return True
 
@@ -248,133 +394,29 @@ class JSInstrument:
         return ""
 
     # ------------------------------------------------------------------
-    def _instrument_object(self, window: Any, scope: Scope, obj: JSObject,
-                           target: TargetSpec) -> int:
+    def _instrument_object(self, window: Any,
+                           templates: Dict[str, _Wrappers],
+                           obj: JSObject, target: TargetSpec) -> int:
         """Wrap one target, reproducing the pollution bug.
 
         The wrappers for *every* prototype level are defined onto the
         chain's first prototype (Fig. 2): inherited API surfaces show up
-        as own properties of the first prototype afterwards.
+        as own properties of the first prototype afterwards. Each
+        wrapper is a placeholder, built on first touch.
         """
-        realm = window.realm
-        base_protos = {realm.object_prototype, realm.function_prototype,
-                       id(None)}
-        if target.is_prototype:
-            chain = [obj]
-            walker = obj.proto
-        else:
-            chain = []
-            walker = obj.proto
-        while walker is not None and walker is not realm.object_prototype \
-                and walker is not realm.function_prototype:
-            chain.append(walker)
-            walker = walker.proto
-        if not chain:
-            chain = [obj]  # plain object: wrap own properties in place
+        chain = target_chain(window, obj, target)
         first = chain[0]
-
-        object_name = target.path.split(".")[0] \
-            if not target.is_prototype else target.path.rsplit(".", 2)[0]
+        object_name = target_object_name(target)
         installed = 0
         for proto in chain:
-            for name, desc in list(proto.properties.items()):
-                if name in target.exclude or name == "constructor":
-                    continue
-                if desc.meta.get("openwpm_wrapped"):
-                    continue
-                if target.methods_only and not desc.is_accessor \
-                        and not isinstance(desc.value, JSFunction):
-                    continue  # skip the ~2k WebGL constants cheaply
-                wrapped = self._wrap_descriptor(
-                    window, scope, object_name, name, desc,
-                    methods_only=target.methods_only)
-                if wrapped is None:
-                    continue
-                wrapped.meta["openwpm_wrapped"] = True
-                wrapped.meta["openwpm_original"] = desc
-                first.properties[name] = wrapped
+            for name, kind, source in wrappable(
+                    window, proto, target, "openwpm_wrapped",
+                    replaced=proto is first):
+                first.properties[name] = LazyDescriptor(
+                    templates[kind], (object_name, name, source),
+                    enumerable=source.enumerable)
                 installed += 1
         return installed
-
-    def _wrap_descriptor(self, window: Any, scope: Scope, object_name: str,
-                         name: str, desc: PropertyDescriptor,
-                         methods_only: bool
-                         ) -> Optional[PropertyDescriptor]:
-        realm = window.realm
-        interp = window.interp
-
-        def make_wrapper(node, variables: Dict[str, Any]) -> ScriptFunction:
-            # function_scope=True keeps each wrapper's closure variables
-            # private instead of hoisting them into the shared injected
-            # scope.
-            wrapper_scope = Scope(parent=scope, function_scope=True)
-            for var_name, var_value in variables.items():
-                wrapper_scope.declare(var_name, var_value)
-            previous_url = interp.current_script_url
-            interp.current_script_url = INSTRUMENT_SCRIPT_URL
-            try:
-                wrapper = ScriptFunction(node, wrapper_scope, interp,
-                                         lightweight=True)
-            finally:
-                interp.current_script_url = previous_url
-            return wrapper
-
-        if desc.is_accessor:
-            original_get = desc.get
-            original_set = desc.set
-            get_native = NativeFunction(
-                lambda i, t, a, g=original_get:
-                g.call(i, t, []) if g is not None else UNDEFINED,
-                name="originalGet", proto=realm.function_prototype)
-            set_native = NativeFunction(
-                lambda i, t, a, s=original_set:
-                s.call(i, t, a) if s is not None else UNDEFINED,
-                name="originalSet", proto=realm.function_prototype)
-            new_desc = PropertyDescriptor.accessor(
-                get=make_wrapper(_GET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalGet": get_native}),
-                set=make_wrapper(_SET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalSet": set_native}),
-                enumerable=desc.enumerable, configurable=True)
-            return new_desc
-
-        value = desc.value
-        if isinstance(value, JSFunction):
-            call_wrapper = make_wrapper(_CALL_NODE, {
-                "objectName": object_name, "methodName": name,
-                "func": value})
-            # Access to the wrapped function itself goes through a getter;
-            # reassignment attempts are recorded via the set wrapper (the
-            # "hooks into setters and getters" protection, Sec. 5.1.1).
-            set_native = NativeFunction(
-                lambda i, t, a: UNDEFINED, name="originalSet",
-                proto=realm.function_prototype)
-            return PropertyDescriptor.accessor(
-                get=make_wrapper(_METHOD_GET_NODE, {"func": call_wrapper}),
-                set=make_wrapper(_SET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalSet": set_native}),
-                enumerable=desc.enumerable, configurable=True)
-
-        if methods_only:
-            return None
-        original_value = value
-        get_native = NativeFunction(
-            lambda i, t, a, v=original_value: v, name="originalGet",
-            proto=realm.function_prototype)
-        set_native = NativeFunction(
-            lambda i, t, a: UNDEFINED, name="originalSet",
-            proto=realm.function_prototype)
-        return PropertyDescriptor.accessor(
-            get=make_wrapper(_GET_NODE, {
-                "objectName": object_name, "propertyName": name,
-                "originalGet": get_native}),
-            set=make_wrapper(_SET_NODE, {
-                "objectName": object_name, "propertyName": name,
-                "originalSet": set_native}),
-            enumerable=desc.enumerable, configurable=True)
 
     # ==================================================================
     # Background end: receiving records

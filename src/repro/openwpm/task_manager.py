@@ -656,15 +656,16 @@ class TaskManager:
             return None
 
     # ------------------------------------------------------------------
-    # Execution-bundle hooks: a replay network positions its visit
-    # cursor; a capturing slot's browser captures the attempt, which
-    # only a completed visit hands on (each crawl site is its own
-    # bundle site keyed by URL)
+    # Execution-bundle hooks: a replay network starts each attempt at
+    # the site's archived visit; a capturing slot's browser captures the
+    # attempt, which only a completed visit hands on (each crawl site is
+    # its own bundle site keyed by URL)
     # ------------------------------------------------------------------
     def _bundle_begin(self, slot: ManagedBrowser, url: str) -> None:
-        begin = getattr(self.network, "begin_visit", None)
-        if begin is not None:
-            begin(url, url)
+        begin_site = getattr(self.network, "begin_site", None)
+        if begin_site is not None:
+            begin_site(url)
+            self.network.begin_visit(url, url)
         if self.capture_bundles:
             from repro.bundles import BundleCapture
 
@@ -686,9 +687,6 @@ class TaskManager:
             capture.verdict = {"success": True, "attempts": attempts}
 
     def _bundle_abandon(self, slot: ManagedBrowser) -> None:
-        abandon = getattr(self.network, "abandon_visit", None)
-        if abandon is not None:
-            abandon()
         slot.browser.capture = None
 
     def _interact(self, slot: ManagedBrowser, result) -> None:

@@ -449,6 +449,26 @@ class TestCrawlRecordReplay:
         original.close()
         rerecorded.close()
 
+    def test_same_site_twice_in_a_row_replays(self, tmp_path):
+        from repro.obs.runner import run_telemetry_crawl
+
+        # Each job attempt replays its site from the first archived
+        # visit, so a site listed twice in a row replays twice.
+        rec = str(tmp_path / "twice-rec")
+        url = "https://lab.test/site-00000"
+        run_telemetry_crawl(urls=[url, url], crash_probability=0.0,
+                            browsers=1, record_dir=rec).close()
+        replay = run_telemetry_crawl(urls=[url, url], crash_probability=0.0,
+                                     browsers=1, replay_dir=rec)
+        counts = {
+            table: replay.storage.query(
+                f"SELECT COUNT(*) AS n FROM {table}")[0]["n"]
+            for table in ("site_visits", "failed_visits")}
+        misses = replay.manager.network.replay_misses
+        replay.close()
+        assert counts == {"site_visits": 2, "failed_visits": 0}
+        assert misses == 0
+
     def test_crash_interrupted_crawl_refuses_replay(self, tmp_path):
         from repro.obs.runner import run_telemetry_crawl
 

@@ -132,6 +132,19 @@ class TestJSInstrumentFingerprint:
         assert list(extension.js_instrument.install_counts.values())[0] \
             == 253
 
+    def test_install_counts_hold_only_the_last_visit(self):
+        from repro.obs.runner import run_telemetry_crawl
+
+        result = run_telemetry_crawl(site_count=2, seed=3, web="tranco",
+                                     js_instrument=True, browsers=1,
+                                     crash_probability=0.0)
+        extension = result.manager.browsers[0].extension
+        windows = extension.instrumented_windows
+        counts = dict(extension.js_instrument.install_counts)
+        result.close()
+        assert windows
+        assert set(counts) == {id(window) for window in windows}
+
     def test_csp_blocks_installation(self):
         extension, result = instrumented(
             scripts=[], csp_header="script-src 'self'; report-uri /csp")
