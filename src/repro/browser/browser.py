@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -90,6 +91,32 @@ class Browser:
         self.executed_scripts: List[ExecutedScript] = []
         self.popups: List[BrowserWindow] = []
         self._top_window: Optional[BrowserWindow] = None
+
+    def begin_site(self, site: str, seed: int, client_prefix: str) -> None:
+        """Start *site* with a clean, per-site identity.
+
+        The paper's Tranco scan runs OpenWPM stateless: every site gets
+        a clean profile. The site's RNG seed and network client id are
+        derived from ``(seed, site)``; the clock, cookie jar, local
+        storage, window and timer counters and the extension's
+        in-memory instrument records start over, and a replay
+        transport starts the site's archived visits over. What a site
+        serves and records is then the same whichever sites this
+        browser visited before, so a crawl's tables do not depend on
+        the worker count or on which worker visited which site.
+        """
+        self.rng.seed((seed * 1_000_003 + zlib.crc32(site.encode()))
+                      & 0x7FFFFFFF)
+        self.client = ClientIdentity(client_id=f"{client_prefix}:{site}",
+                                     user_agent=self.client.user_agent)
+        self.cookie_jar = CookieJar()
+        self.current_time = 0.0
+        self._local_storage = {}
+        self._timer_ids = itertools.count(1)
+        self._window_count = 0
+        if self.extension is not None:
+            self.extension.clear_records()
+        self.network.begin_site(site)
 
     # ------------------------------------------------------------------
     # Event loop

@@ -53,6 +53,9 @@ class ExtensionHost:
     def on_visit_end(self, browser: Any) -> None:
         """The visit is over; flush instrument state."""
 
+    def clear_records(self) -> None:
+        """Drop the in-memory instrument records (a new site starts)."""
+
 
 class ExtensionContext:
     """Per-window content-script capabilities handed to instruments."""

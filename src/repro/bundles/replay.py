@@ -79,7 +79,7 @@ class ReplayNetwork(Network):
             queues.setdefault(key, deque()).append(hops)
         tl.queues = queues
 
-    def end_visit(self, **_) -> None:
+    def end_visit(self) -> None:
         self._tl.queues = None
 
     # ------------------------------------------------------------------

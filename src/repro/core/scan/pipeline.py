@@ -18,7 +18,6 @@ derives the paper's tables and figures:
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -295,9 +294,10 @@ class ScanPipeline:
         incompatible with ``workers``.
 
         Each site is visited with a fresh per-site browser identity
-        (see :meth:`_site_browser`), so the collected script corpus
-        and every derived table are independent of ``workers`` and of
-        scheduling order.
+        (:meth:`Browser.begin_site`, the same site start a crawl
+        attempt makes), so the collected script corpus and every
+        derived table are independent of ``workers``, of threads or
+        processes, and of scheduling order.
 
         Every mode runs an attempt through :meth:`scan_job` and settles
         it through one :class:`ScanBroker`, which lands a completed
@@ -456,23 +456,19 @@ class ScanPipeline:
     # ------------------------------------------------------------------
     def _site_browser(self, domain: str
                       ) -> Tuple[Browser, ScanExtension]:
-        """A fresh browser + extension bound to a per-site identity.
-
-        The paper's Tranco scan runs OpenWPM stateless — every site
-        gets a clean profile. Modelled here as a per-site network
-        client and a domain-derived seed, which makes each site's
-        served content a pure function of (world, domain, seed): the
+        """A fresh browser + extension started on *domain*'s per-site
+        identity (:meth:`Browser.begin_site`): each site's served
+        content is a pure function of (world, domain, seed), so the
         collected corpus is byte-identical regardless of worker count
         or visit order, and cloaking providers cannot leak one site's
-        bot verdict into another site's measurement.
+        bot verdict into another site's measurement. A replay
+        transport replays the attempt from the site's first archived
+        visit.
         """
         extension = ScanExtension()
-        site_seed = (self.seed * 1_000_003
-                     + zlib.crc32(domain.encode())) & 0x7FFFFFFF
         browser = Browser(openwpm_profile("ubuntu", "regular"),
-                          self.web.network,
-                          client_id=f"{self.client_id}:{domain}",
-                          extension=extension, seed=site_seed)
+                          self.web.network, extension=extension)
+        browser.begin_site(domain, self.seed, self.client_id)
         if self.capture_bundles:
             from repro.bundles import BundleCapture
 
@@ -497,11 +493,6 @@ class ScanPipeline:
         """
         batch = corpus.site_batch(domain)
         browser, extension = self._site_browser(domain)
-        begin_site = getattr(self.web.network, "begin_site", None)
-        if begin_site is not None:
-            # A replay transport replays this attempt from the site's
-            # first archived visit.
-            begin_site(domain)
         try:
             evidences, front, combined = self._scan_site(
                 domain, visit_subpages, batch, browser, extension)
@@ -562,9 +553,7 @@ class ScanPipeline:
         extension.clear_records()
         # A replay transport positions its visit cursor; a capturing
         # browser opens this visit's capture.
-        begin = getattr(self.web.network, "begin_visit", None)
-        if begin is not None:
-            begin(batch.site, url)
+        self.web.network.begin_visit(batch.site, url)
         if browser.capture is not None:
             browser.capture.begin_visit(url)
         with self.telemetry.stage("scan_visit"):
@@ -583,9 +572,7 @@ class ScanPipeline:
             evidence.residue_accessors.setdefault(
                 access.script_url, set()).add(access.property_name)
         evidence.honey_hits = extension.honey_hits_by_script()
-        end = getattr(self.web.network, "end_visit", None)
-        if end is not None:
-            end()
+        self.web.network.end_visit()
         if browser.capture is not None:
             browser.capture.end_visit(extension.js_instrument.records
                                       if extension.js_instrument

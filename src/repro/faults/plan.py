@@ -217,15 +217,6 @@ class FaultPlan:
                           else _rule_rng(self.seed, len(self.rules) - 1))
         self._states.append(_RuleState())
 
-    @classmethod
-    def legacy_crash(cls, probability: float,
-                     rng: Optional[random.Random] = None) -> "FaultPlan":
-        """The old ``crash_probability`` Bernoulli as a one-rule plan."""
-        plan = cls()
-        plan.add_rule(FaultRule(fault="crash", point="visit.start",
-                                probability=probability), rng=rng)
-        return plan
-
     # ------------------------------------------------------------------
     def bind_clock(self, clock: Any) -> None:
         """Attach the virtual clock that time-burning faults advance."""

@@ -477,9 +477,15 @@ class Realm:
             obj = args[0] if args else UNDEFINED
             if isinstance(obj, JSObject):
                 obj.extensible = False
-                for desc in obj.properties.values():
-                    desc.writable = False
-                    desc.configurable = False
+                # Frozen copies: a descriptor may be shared with other
+                # objects (a profile's WebGL constants are shared by
+                # all its windows), which must not be frozen too.
+                properties = obj.properties
+                for name, desc in properties.items():
+                    frozen = desc.copy()
+                    frozen.writable = False
+                    frozen.configurable = False
+                    properties[name] = frozen
             return obj
 
         for name, fn in [("keys", keys),

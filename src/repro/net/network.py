@@ -95,6 +95,18 @@ class Network:
                 return self._domains[candidate]
         return None
 
+    # Visit scoping: a live network keeps no per-site or per-visit
+    # state; a replay transport (:class:`repro.bundles.ReplayNetwork`)
+    # moves its archive cursor here.
+    def begin_site(self, site: str) -> None:
+        """A job attempt for *site* starts."""
+
+    def begin_visit(self, site: str, url: str) -> None:
+        """A visit of *url*, part of *site*, starts."""
+
+    def end_visit(self) -> None:
+        """The current visit is over."""
+
     # ------------------------------------------------------------------
     def fetch(self, request: HttpRequest, client: ClientIdentity
               ) -> Tuple[HttpResponse, List[ExchangeRecord]]:

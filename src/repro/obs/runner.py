@@ -102,11 +102,14 @@ def run_telemetry_crawl(site_count: int = 1000, seed: int = 7,
 
     ``workers=None`` keeps the legacy sequential round-robin crawl.
     Any integer routes the crawl through the scheduler instead — one
-    worker per browser slot, each slot a clone of browser 0 (so the
-    tables are the same at any worker count), with
+    worker per browser slot, each slot a clone of browser 0, with
     ``queue_path``/``resume`` exposing the persistent queue and
     checkpoint/resume (``python -m repro crawl``). An explicit ``urls``
-    list overrides the generated one.
+    list overrides the generated one. Every attempt starts its site on
+    a per-site identity (:meth:`~repro.browser.browser.Browser.begin_site`),
+    so a clean crawl's tables — lab or tranco — are byte-identical at
+    any worker count, threads or processes, and a site's rows do not
+    depend on the sites visited before it.
 
     ``worker_procs`` routes the crawl through the **process** pool
     instead (:mod:`repro.sched.procpool`): N spawned worker processes

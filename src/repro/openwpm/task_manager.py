@@ -132,9 +132,6 @@ class ManagedBrowser:
     #: here and leaves as one envelope per job attempt.
     store: VisitRecorder
     crash_count: int = 0
-    #: Index into the slot's JS-instrument record stream at visit
-    #: start; the slice from here is the visit's bundle trace.
-    bundle_trace_mark: int = 0
 
 
 class TaskManager:
@@ -656,33 +653,28 @@ class TaskManager:
             return None
 
     # ------------------------------------------------------------------
-    # Execution-bundle hooks: a replay network starts each attempt at
-    # the site's archived visit; a capturing slot's browser captures the
-    # attempt, which only a completed visit hands on (each crawl site is
-    # its own bundle site keyed by URL)
+    # Site start and execution-bundle hooks: every attempt starts the
+    # site on a clean per-site identity (a replay network at the site's
+    # archived visit); a capturing slot's browser captures the attempt,
+    # which only a completed visit hands on (each crawl site is its own
+    # bundle site keyed by URL)
     # ------------------------------------------------------------------
     def _bundle_begin(self, slot: ManagedBrowser, url: str) -> None:
-        begin_site = getattr(self.network, "begin_site", None)
-        if begin_site is not None:
-            begin_site(url)
-            self.network.begin_visit(url, url)
+        slot.browser.begin_site(url, slot.params.seed,
+                                f"openwpm-{slot.browser_id}")
+        self.network.begin_visit(url, url)
         if self.capture_bundles:
             from repro.bundles import BundleCapture
 
             slot.browser.capture = BundleCapture()
             slot.browser.capture.begin_visit(url)
-            instrument = slot.extension.js_instrument
-            slot.bundle_trace_mark = len(instrument.records) \
-                if instrument is not None else 0
 
     def _bundle_commit(self, slot: ManagedBrowser, attempts: int) -> None:
-        end = getattr(self.network, "end_visit", None)
-        if end is not None:
-            end()
+        self.network.end_visit()
         capture = slot.browser.capture
         if capture is not None:
             instrument = slot.extension.js_instrument
-            capture.end_visit(instrument.records[slot.bundle_trace_mark:]
+            capture.end_visit(instrument.records
                               if instrument is not None else [])
             capture.verdict = {"success": True, "attempts": attempts}
 
@@ -705,7 +697,7 @@ class TaskManager:
 
         driver_cls = HumanLikeInteraction if style == "human" \
             else SeleniumInteraction
-        driver = driver_cls(self._rng)
+        driver = driver_cls(slot.browser.rng)
         window = result.top_window
         driver.scroll(window, 600.0)
         driver.click(window, "a")

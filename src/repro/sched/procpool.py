@@ -43,7 +43,10 @@ lineage.
 Determinism caveats (documented, asserted by tests where it matters):
 
 * clean runs (no faults) are byte-identical to the inline path for any
-  worker count;
+  worker count, on the lab and the synthetic Tranco web alike: every
+  attempt starts its site on a per-site identity
+  (:meth:`repro.browser.browser.Browser.begin_site`), so a site's rows
+  do not depend on which sites its worker visited before;
 * under faults, *site-level exactly-once* accounting always holds
   (every enqueued site ends exactly once across completed /
   ``failed_visits`` / ``quarantined_sites``), but metric books may

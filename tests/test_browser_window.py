@@ -73,6 +73,25 @@ class TestFingerprintWiring:
         _, window = make_window(openwpm_profile("ubuntu", "docker"))
         assert window.run_script("new Date().getTimezoneOffset()") == 0.0
 
+    def test_freeze_leaves_other_windows_of_the_profile_alone(self):
+        """The WebGL constants are shared by every window of a profile;
+        a page freezing them must not freeze them for later windows."""
+        profile = openwpm_profile("ubuntu", "regular")
+        vendor = ("Object.getOwnPropertyDescriptor("
+                  "WebGLRenderingContext.prototype, 'VENDOR')")
+        _, first = make_window(profile)
+        assert first.run_script(
+            "Object.freeze(WebGLRenderingContext.prototype); "
+            f"{vendor}.configurable") is False
+        assert first.run_script(f"{vendor}.writable") is False
+        _, later = make_window(profile)
+        assert later.run_script(f"{vendor}.configurable") is True
+        assert later.run_script(f"{vendor}.writable") is False
+        assert later.run_script(
+            "Object.defineProperty(WebGLRenderingContext.prototype, "
+            "'VENDOR', {value: 1}); WebGLRenderingContext.prototype"
+            ".VENDOR") == 1.0
+
     def test_languages_array(self, openwpm_window):
         assert openwpm_window.run_script(
             "navigator.languages.join(',')") == "en-US,en"

@@ -17,12 +17,15 @@ These tests spawn real subprocesses and run on wall-clock time, so
 site counts are kept small.
 """
 
+import functools
 import multiprocessing
 import os
 import sqlite3
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs.clock import WallClock
@@ -122,6 +125,155 @@ class TestProcEquivalence:
                 workers=2, queue_path=str(tmp_path / "x.queue"))
 
 
+# ---------------------------------------------------------------------------
+# Per-site identity: tranco rows do not depend on the schedule
+# ---------------------------------------------------------------------------
+TRANCO_SITES = 12
+
+
+def tranco_crawl(tmp_path, name, **kwargs):
+    """One JS-instrumented tranco crawl into ``tmp_path/<name>.db``."""
+    db_path = str(tmp_path / f"{name}.db")
+    result = run_telemetry_crawl(
+        site_count=TRANCO_SITES, seed=7, database_path=db_path,
+        crash_probability=0.0, web="tranco", js_instrument=True,
+        queue_path=str(tmp_path / f"{name}.queue"), **kwargs)
+    urls, report = result.urls, result.report
+    result.close()
+    return db_path, urls, report
+
+
+def rows_by_site(conn):
+    """Every row keyed by what it is about, not by when it was written.
+
+    A visit table's rows go under their visit's site, in recording
+    order, without the ``id``/``visit_id`` a crawl assigns in visit
+    order; ``content`` drops its ``url`` (the first page seen serving
+    the body). Everything else but the volatile tables (and
+    ``rollups_meta``'s fold generation) is compared whole.
+    """
+    sites = {row[0]: row[1] for row in conn.execute(
+        "SELECT visit_id, site_url FROM site_visits")}
+    out = {"site_visits": sorted(sites.values())}
+    for (table,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='table' "
+            "AND name NOT IN ('site_visits', 'telemetry', "
+            "'sqlite_sequence', 'rollups_meta') ORDER BY name"):
+        cols = [col[1] for col in conn.execute(
+            f"PRAGMA table_info({table})")
+            if col[1] not in ("id", "url" if table == "content" else "")]
+        if "visit_id" not in cols:
+            out[table] = sorted(tuple(row) for row in conn.execute(
+                f"SELECT {', '.join(cols)} FROM {table}"))
+            continue
+        cols.remove("visit_id")
+        per_site = {}
+        for visit_id, *row in conn.execute(
+                f"SELECT visit_id, {', '.join(cols)} FROM {table} "
+                "ORDER BY id"):
+            per_site.setdefault(sites[visit_id], []).append(tuple(row))
+        out[table] = per_site
+    return out
+
+
+class TestTrancoEquivalence:
+    """Every crawl attempt starts its site on a per-site identity
+    (``Browser.begin_site``), so a JS-instrumented tranco crawl writes
+    the same tables at any worker count, in threads or processes, and
+    each site's rows whatever sites were visited before it."""
+
+    @pytest.fixture(scope="class")
+    def inline(self, tmp_path_factory):
+        db_path, urls, report = tranco_crawl(
+            tmp_path_factory.mktemp("tranco"), "inline", browsers=1,
+            workers=1)
+        assert report.drained and report.completed == TRANCO_SITES
+        return db_path, urls
+
+    @pytest.mark.parametrize("mode", [
+        dict(browsers=2, workers=2),
+        dict(browsers=1, worker_procs=2),
+    ], ids=["workers2", "worker_procs2"])
+    def test_byte_identical_to_inline(self, mode, tmp_path, inline):
+        baseline = dump_tables(inline[0])
+        db_path, _, report = tranco_crawl(tmp_path, "mode", **mode)
+        assert report.drained
+        tables = dump_tables(db_path)
+        assert set(tables) == set(baseline)
+        for table in tables:
+            assert tables[table] == baseline[table], table
+
+    def test_reversed_site_order_gives_every_site_the_same_rows(
+            self, tmp_path, inline):
+        """Visit and row ids follow the visit order, so the reversed
+        crawl's rows are compared site by site."""
+        forward, urls = inline
+        backward, _, report = tranco_crawl(
+            tmp_path, "backward", browsers=1, workers=1,
+            urls=list(reversed(urls)))
+        assert report.drained
+        with sqlite3.connect(forward) as a, sqlite3.connect(backward) as b:
+            assert rows_by_site(b) == rows_by_site(a)
+
+    def test_records_and_replays_on_processes_as_inline(self, tmp_path):
+        from repro.bundles import Bundle, diff_bundles
+
+        inline_rec = str(tmp_path / "inline-rec")
+        proc_rec = str(tmp_path / "proc-rec")
+        live, _, _ = tranco_crawl(tmp_path, "live", browsers=2, workers=2,
+                                  record_dir=inline_rec)
+        tranco_crawl(tmp_path, "proc", browsers=1, worker_procs=2,
+                     record_dir=proc_rec)
+        original, recorded = Bundle(inline_rec), Bundle(proc_rec)
+        try:
+            assert diff_bundles(original, recorded)["zero_diffs"]
+        finally:
+            original.close()
+            recorded.close()
+        telemetry = Telemetry()
+        replayed, _, report = tranco_crawl(
+            tmp_path, "replay", browsers=1, worker_procs=2,
+            replay_dir=inline_rec, telemetry=telemetry)
+        assert report.drained and report.completed == TRANCO_SITES
+        assert telemetry.metrics.counter_value(
+            "bundle_replay_misses") == 0
+        assert dump_tables(replayed) == dump_tables(live)
+
+
+@functools.lru_cache(maxsize=1)
+def tranco_urls():
+    from repro.web import build_world
+
+    return tuple(build_world(site_count=TRANCO_SITES, seed=7)
+                 .front_urls(TRANCO_SITES))
+
+
+def site_visit_rows(urls, site):
+    """*site*'s rows from an inline JS tranco crawl of *urls* on one
+    browser slot."""
+    result = run_telemetry_crawl(
+        site_count=TRANCO_SITES, seed=7, crash_probability=0.0,
+        web="tranco", js_instrument=True, browsers=1, urls=list(urls))
+    try:
+        rows = rows_by_site(result.storage.connection)
+    finally:
+        result.close()
+    return {table: per_site.get(site) for table, per_site in rows.items()
+            if isinstance(per_site, dict)}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(pair=st.lists(st.integers(0, TRANCO_SITES - 1), min_size=2,
+                     max_size=2, unique=True))
+def test_a_site_rows_do_not_depend_on_the_site_before(pair):
+    """B visited right after A on the same slot records what B
+    visited on a fresh browser records."""
+    first, second = (tranco_urls()[index] for index in pair)
+    after = site_visit_rows([first, second], second)
+    assert after["javascript_cookies"] or after["http_requests"]
+    assert after == site_visit_rows([second], second)
+
+
 class TestScanProcEquivalence:
     def test_two_procs_match_inline_scan(self, tmp_path):
         from repro.core.scan import ScanPipeline
@@ -186,9 +338,8 @@ class TestScanProcEquivalence:
 # Record and replay: a process pool archives and replays as inline does
 # ---------------------------------------------------------------------------
 class TestProcBundles:
-    """The lab web for the crawl: tranco crawl rows depend on which
-    sites a browser slot visited before, so only the lab web's are
-    schedule-independent."""
+    """Record and replay across pool modes on the lab web (the
+    tranco web's are in :class:`TestTrancoEquivalence`)."""
 
     def test_proc_crawl_records_and_replays_as_inline(self, tmp_path):
         from repro.bundles import Bundle, diff_bundles

@@ -268,18 +268,19 @@ class TestDwellTime:
     def test_get_passes_dwell_time_through(self):
         """Regression: ``TaskManager.get`` used to drop ``dwell_time``.
 
-        The browser's virtual clock idles for the dwell, so the applied
-        value is visible in how far time advanced during the visit.
+        The browser's virtual clock starts each site at 0 and idles for
+        the dwell, so the applied value is visible in how far time
+        advanced during the visit.
         """
         manager = make_manager()
         times = []
         callback = [lambda browser, result:
                     times.append(browser.current_time)]
         manager.get("https://lab.test/a", callbacks=callback)
-        baseline = times[0]
         manager.get("https://lab.test/b", callbacks=callback,
                     dwell_time=100.0)
-        assert times[1] - baseline >= 100.0
+        assert times[0] < 50.0
+        assert times[1] >= 100.0
         manager.close()
 
     def test_default_dwell_still_from_browser_params(self):

@@ -416,6 +416,40 @@ class TestSlotStores:
             assert not any(envelope["ledger"].values())
         manager.close()
 
+    def test_instrument_records_hold_only_the_last_site(self):
+        """Each site starts with cleared in-memory instrument records,
+        so they do not grow with the crawl: after a JS tranco crawl on
+        one slot they mirror the last visit's rows exactly."""
+        result = run_telemetry_crawl(
+            site_count=20, seed=3, web="tranco", js_instrument=True,
+            browsers=1, workers=1, crash_probability=0.0)
+        try:
+            storage = result.storage
+            extension = result.manager.browsers[0].extension
+            last = storage.query(
+                "SELECT MAX(visit_id) AS v FROM site_visits")[0]["v"]
+
+            def rows(sql):
+                everything = storage.query(sql.format(where=""))
+                own = storage.query(sql.format(
+                    where=f"WHERE visit_id = {last}"))
+                assert len(everything) > len(own) > 0, sql
+                return [tuple(row) for row in own]
+
+            assert [(r.symbol, r.operation, r.document_url)
+                    for r in extension.js_instrument.records] == rows(
+                "SELECT symbol, operation, document_url FROM javascript "
+                "{where} ORDER BY id")
+            assert [(r.url, r.resource_type)
+                    for r in extension.http_instrument.records] == rows(
+                "SELECT url, resource_type FROM http_requests {where} "
+                "ORDER BY id")
+            assert [(r.host, r.name)
+                    for r in extension.cookie_instrument.records] == rows(
+                "SELECT host, name FROM javascript_cookies {where} "
+                "ORDER BY id")
+        finally:
+            result.close()
 
     def test_browser_slots_open_no_database(self, monkeypatch):
         """N browser slots, one storage connection: the crawl
